@@ -6,26 +6,37 @@ pointwise.  Bottom constants denote the least element, and the fixed
 point constant denotes the least-fixed-point operator, computed by
 iterating from bottom until the value stabilizes.
 
+At t1 -> ... -> tn -> o an element is determined by the set of points
+of the product D(t1) x ... x D(tn) it sends to top, and monotone maps
+are exactly the up-sets of that product poset (the Birkhoff
+representation).  An element's mask is that set as a height(ty)-bit int:
+its flattened table, points in lexicographic order over the canonically
+ordered argument domains, the first point in the most significant bit.
+The pointwise order is mask inclusion, and two elements are equal when
+their types and masks agree.
+
 Elements carry a dual representation.  A closure form applies lazily,
 so evaluation and the test/probe construction never enumerate anything.
-Extensional equality (needed by the fixed-point iteration) forces a
-memoized table over the enumerated argument domain; only then can
-DomainTooLarge arise.  An element's key is its fully forced table tree,
-a nested tuple of booleans, and two elements are equal when their types
-and keys agree.
+Extensional equality (needed by the fixed-point iteration) forces the
+table over the enumerated argument domain and packs it into the mask;
+only then can DomainTooLarge arise.  Enumerated elements are born from
+a mask, and applying one reads the entry at the argument's index.
 
 Domains are enumerated once per process and cached; insertion holds a
 lock, so concurrent readers are safe.  The canonical element order is
 lexicographic on tables over the canonically ordered argument domain,
-which is always a linear extension of the pointwise order; consequently
-index 0 is the least element and the last index the greatest.
+which is the numeric order of masks and always a linear extension of
+the pointwise order; consequently index 0 is the least element (mask 0)
+and the last index the greatest (all ones).  In a lattice of up-sets
+one element covers another exactly when it adds a single point, so the
+Hasse diagram comes from one-point additions to each mask.
 
-Chain heights multiply out: the longest chain in the domain at
-t1 -> ... -> tn -> o makes one strict step at a time, so its length is
-the product of the argument domain sizes.  This lets height() answer for
-types whose own domain is far too large to enumerate, as long as the
-argument domains are small; those are exactly the types at which
-fixed-point stabilization is checkable, so height and lfp fail together.
+Chain heights multiply out: the longest chain adds one point at a time,
+so its length is the product of the argument domain sizes.  This lets
+height() answer for types whose own domain is far too large to
+enumerate, as long as the argument domains are small; those are exactly
+the types at which fixed-point stabilization is checkable, so height
+and lfp fail together.
 """
 
 from __future__ import annotations
@@ -69,96 +80,90 @@ class DomainTooLarge(Exception):
         self.estimate = estimate
 
 
-def key_leq(a, b) -> bool:
-    if isinstance(a, bool):
-        return (not a) or b
-    return all(key_leq(x, y) for x, y in zip(a, b))
-
-
-def key_join(a, b):
-    if isinstance(a, bool):
-        return a or b
-    return tuple(key_join(x, y) for x, y in zip(a, b))
-
-
-def render_key(key) -> str:
-    if isinstance(key, bool):
-        return "top" if key else "bot"
-    return "[" + ", ".join(render_key(k) for k in key) + "]"
-
-
 class Element:
     """A value in one of the finite domains.
 
-    Ground elements hold a flag.  Arrow elements hold a closure, a
-    memoized table, or both; when both are present they agree pointwise.
+    Ground elements hold a one-bit mask.  Arrow elements hold a closure,
+    a mask, or both; when both are present they agree pointwise.
     """
 
-    __slots__ = ("ty", "_flag", "_fn", "_table", "_key")
+    __slots__ = ("ty", "_fn", "_mask", "_width")
 
-    def __init__(self, ty: SimpleType, flag=None, fn=None, table=None):
+    def __init__(self, ty: SimpleType, fn=None, mask: int | None = None,
+                 width: int | None = None):
         self.ty = ty
-        self._flag = flag
         self._fn = fn
-        self._table = table
-        self._key = None
+        self._mask = mask
+        # height(ty), the bits in the mask: carried so that slicing an entry
+        # costs no lookup keyed by the type
+        self._width = height(ty) if width is None and mask is not None else width
 
     @staticmethod
     def of_bool(flag: bool) -> "Element":
-        return Element(GROUND, flag=bool(flag))
+        return Element(GROUND, mask=int(bool(flag)), width=1)
 
     @staticmethod
     def closure(ty: Arrow, fn: Callable[["Element"], "Element"]) -> "Element":
         return Element(ty, fn=fn)
 
-    @staticmethod
-    def from_table(ty: Arrow, table: tuple["Element", ...]) -> "Element":
-        return Element(ty, table=table)
-
     @property
     def flag(self) -> bool:
-        if self._flag is None:
+        if isinstance(self.ty, Arrow):
             raise ValueError(f"element of type {self.ty} is not ground")
-        return self._flag
+        return self._mask == 1
 
     def apply(self, arg: "Element") -> "Element":
         if self._fn is not None:
             return self._fn(arg)
-        if self._table is not None:
-            dom = enumerate_domain(self.ty.domain)
-            return self._table[dom.index_of_key(arg.key())]
-        raise ValueError("ground element cannot be applied")
+        if not isinstance(self.ty, Arrow):
+            raise ValueError("ground element cannot be applied")
+        dom = enumerate_domain(self.ty.domain)
+        return self._entry(dom.index_of(arg), len(dom.elements))
+
+    def _entry(self, i: int, n: int) -> "Element":
+        """The table entry at argument index i of n, sliced from the mask."""
+        bits = self._width // n
+        mask = self._mask >> bits * (n - 1 - i) & ((1 << bits) - 1)
+        return Element(self.ty.codomain, None, mask, bits)
 
     def table(self) -> tuple["Element", ...]:
-        """Force the full table; enumerates the argument domain."""
-        if self._table is None:
-            dom = enumerate_domain(self.ty.domain)
-            self._table = tuple(self._fn(el) for el in dom.elements)
-        return self._table
+        """The entries over the argument domain in canonical order.
 
-    def key(self):
-        """Nested boolean tuple identifying the element extensionally."""
-        if self._flag is not None:
-            return self._flag
-        if self._key is None:
-            self._key = tuple(e.key() for e in self.table())
-        return self._key
+        Enumerates the argument domain; forcing a closure records its mask.
+        """
+        dom = enumerate_domain(self.ty.domain)
+        n = len(dom)
+        if self._mask is not None:
+            return tuple(self._entry(i, n) for i in range(n))
+        entries = tuple(self._fn(el) for el in dom.elements)
+        mask = 0
+        for entry in entries:
+            entry_mask = entry.mask()
+            mask = mask << entry._width | entry_mask
+        self._mask, self._width = mask, n * entries[0]._width
+        return entries
+
+    def mask(self) -> int:
+        """The points sent to top as a height-bit int (see the module docstring)."""
+        if self._mask is None:
+            self.table()
+        return self._mask
 
     def leq(self, other: "Element") -> bool:
         if self.ty != other.ty:
             raise ValueError("cannot compare elements of different types")
-        return key_leq(self.key(), other.key())
+        return self.mask() & ~other.mask() == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self.ty == other.ty and self.key() == other.key()
+        return self.ty == other.ty and self.mask() == other.mask()
 
     def __hash__(self) -> int:
-        return hash((self.ty, self.key()))
+        return hash((self.ty, self.mask()))
 
     def __repr__(self) -> str:
-        return f"<element {render_key(self.key())} : {type_to_str(self.ty)}>"
+        return f"<element {render_element(self)} : {type_to_str(self.ty)}>"
 
 
 def bottom_element(ty: SimpleType) -> Element:
@@ -176,47 +181,43 @@ def top_element(ty: SimpleType) -> Element:
 class Domain:
     """A fully enumerated domain with its canonical element order."""
 
-    __slots__ = ("ty", "elements", "keys", "_index")
+    __slots__ = ("ty", "elements", "_index")
 
     def __init__(self, ty: SimpleType, elements: tuple[Element, ...]):
         self.ty = ty
         self.elements = elements
-        self.keys = tuple(el.key() for el in elements)
-        self._index = {k: i for i, k in enumerate(self.keys)}
+        self._index = {el.mask(): i for i, el in enumerate(elements)}
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    @property
-    def bottom_index(self) -> int:
-        return 0
-
-    @property
-    def top_index(self) -> int:
-        return len(self.elements) - 1
-
-    def index_of_key(self, key) -> int:
-        i = self._index.get(key)
+    def index_of(self, el: Element) -> int:
+        i = self._index.get(el.mask())
         if i is None:
-            raise ValueError(f"no element with key {render_key(key)} in domain {self.ty}")
+            raise ValueError(f"no element {render_element(el)} in domain {self.ty}")
         return i
 
-    def index_of(self, el: Element) -> int:
-        return self.index_of_key(el.key())
-
     def leq(self, i: int, j: int) -> bool:
-        return key_leq(self.keys[i], self.keys[j])
+        return self.elements[i]._mask & ~self.elements[j]._mask == 0
 
     def covers(self) -> list[tuple[int, int]]:
-        """Edges of the Hasse diagram as (lower, upper) index pairs."""
-        n = len(self.elements)
+        """Edges of the Hasse diagram as sorted (lower, upper) index pairs.
+
+        An upper cover adds one point, so each element looks up its mask
+        plus each missing bit; lower bits first gives ascending uppers.
+        """
+        index = self._index
+        full = self.elements[-1]._mask
         out = []
-        for i in range(n):
-            ups = [j for j in range(n) if j != i and self.leq(i, j)]
-            for j in ups:
-                if not any(k != j and self.leq(k, j) for k in ups):
+        for i, el in enumerate(self.elements):
+            missing = full & ~el._mask
+            while missing:
+                bit = missing & -missing
+                missing ^= bit
+                j = index.get(el._mask | bit)
+                if j is not None:
                     out.append((i, j))
-        return sorted(out)
+        return out
 
 
 _domain_cache: dict[SimpleType, Domain] = {}
@@ -245,64 +246,59 @@ def enumerate_domain(ty: SimpleType, size_limit: int | None = None) -> Domain:
         dom = Domain(ty, (Element.of_bool(False), Element.of_bool(True)))
     else:
         dom = _enumerate_arrow(ty, limit)
-    assert not _key_has_top_bit(dom.keys[0]), "least element must come first"
-    assert _key_all_top(dom.keys[-1]), "greatest element must come last"
+    assert dom.elements[0].mask() == 0, "least element must come first"
+    assert dom.elements[-1].mask() == (1 << height(ty, limit)) - 1, (
+        "greatest element must come last")
     with _cache_lock:
         return _domain_cache.setdefault(ty, dom)
 
 
-def _key_has_top_bit(key) -> bool:
-    if isinstance(key, bool):
-        return key
-    return any(_key_has_top_bit(k) for k in key)
-
-
-def _key_all_top(key) -> bool:
-    if isinstance(key, bool):
-        return key
-    return all(_key_all_top(k) for k in key)
-
-
 def _enumerate_arrow(ty: Arrow, limit: int) -> Domain:
     dom = enumerate_domain(ty.domain, limit)
-    cod = enumerate_domain(ty.codomain, limit)
-    n, m = len(dom), len(cod)
-    # The canonical order is a linear extension, so while filling positions
-    # left to right only earlier positions can lie below the current one.
-    preds = [[j for j in range(i) if dom.leq(j, i)] for i in range(n)]
-    bottom_key = cod.keys[0]
+    cod_masks = [el.mask() for el in enumerate_domain(ty.codomain, limit).elements]
+    n = len(dom)
+    bits = height(ty.codomain, limit)
+    # Monotone on the covers of the argument order means monotone; the
+    # canonical order is a linear extension, so lower covers come first.
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for i, j in dom.covers():
+        preds[j].append(i)
+    above: dict[int, list[int]] = {}  # lower bound -> codomain masks over it
+    chosen = [0] * n  # the codomain mask chosen at each position
+    packed = [0] * n  # packed[i]: the masks chosen at positions below i, shifted together
 
-    tables: list[tuple[int, ...]] = []
-    assigned: list[int] = []
-
-    def candidates() -> range | list[int]:
-        i = len(assigned)
-        lb = bottom_key
+    def candidates(i: int) -> list[int]:
+        lb = 0
         for j in preds[i]:
-            lb = key_join(lb, cod.keys[assigned[j]])
-        return [v for v in range(m) if key_leq(lb, cod.keys[v])]
+            lb |= chosen[j]
+        out = above.get(lb)
+        if out is None:
+            out = above[lb] = [v for v in cod_masks if lb & ~v == 0]
+        return out
 
-    stack = [iter(candidates())]
+    # Candidates ascend and positions fill left to right, so masks ascend.
+    masks: list[int] = []
+    last = n - 1
+    stack = [iter(candidates(0))]
     while stack:
+        i = len(stack)  # stack[-1] chooses position i - 1
         v = next(stack[-1], None)
         if v is None:
             stack.pop()
-            if assigned:
-                assigned.pop()
             continue
-        assigned.append(v)
-        if len(assigned) == n:
-            tables.append(tuple(assigned))
-            if len(tables) > limit:
-                raise DomainTooLarge(ty, f"more than {limit}")
-            assigned.pop()
-        else:
-            stack.append(iter(candidates()))
+        chosen[i - 1] = v
+        packed[i] = packed[i - 1] << bits | v
+        if i < last:
+            stack.append(iter(candidates(i)))
+            continue
+        # every candidate at the last position completes a row
+        base = packed[i] << bits
+        masks.extend([base | w for w in candidates(i)])
+        if len(masks) > limit:
+            raise DomainTooLarge(ty, f"more than {limit}")
 
-    elements = tuple(
-        Element.from_table(ty, tuple(cod.elements[v] for v in row)) for row in tables
-    )
-    return Domain(ty, elements)
+    width = n * bits
+    return Domain(ty, tuple(Element(ty, mask=m, width=width) for m in masks))
 
 
 def cardinality(ty: SimpleType, size_limit: int | None = None) -> int:
@@ -448,29 +444,26 @@ def head_probe_s(ty: SimpleType) -> Element:
     return el
 
 
-def is_monotone_element(el: Element) -> bool:
-    """Hereditary monotonicity check; forces tables, so enumerable types only."""
-    if el.ty == GROUND:
-        return True
-    dom = enumerate_domain(el.ty.domain)
-    tab = el.table()
-    n = len(dom)
-    for i in range(n):
-        for j in range(n):
-            if i != j and dom.leq(i, j) and not key_leq(tab[i].key(), tab[j].key()):
-                return False
-    return all(is_monotone_element(entry) for entry in tab)
-
-
 def render_element(el: Element) -> str:
-    return render_key(el.key())
+    """Nested table over the canonical argument domains; bot/top at ground."""
+    mask = el.mask()
+    return _render(mask, el._width, [len(enumerate_domain(a)) for a in argument_types(el.ty)])
+
+
+def _render(mask: int, width: int, sizes: list[int]) -> str:
+    if not sizes:
+        return "top" if mask else "bot"
+    bits = width // sizes[0]
+    low = (1 << bits) - 1
+    return "[" + ", ".join(
+        _render(mask >> bits * k & low, bits, sizes[1:]) for k in reversed(range(sizes[0]))) + "]"
 
 
 def dump_domain(dom: Domain) -> str:
     """Line-oriented dump: type, size, elements in canonical order, covers."""
     lines = [f"type {type_to_str(dom.ty)}", f"size {len(dom)}"]
-    for i, key in enumerate(dom.keys):
-        lines.append(f"element {i} {render_key(key)}")
+    for i, el in enumerate(dom.elements):
+        lines.append(f"element {i} {render_element(el)}")
     for i, j in dom.covers():
         lines.append(f"cover {i} {j}")
     return "\n".join(lines) + "\n"
@@ -492,13 +485,9 @@ __all__ = [
     "head_probe_s",
     "head_test_t",
     "height",
-    "is_monotone_element",
-    "key_join",
-    "key_leq",
     "lfp",
     "probe_s",
     "render_element",
-    "render_key",
     "set_default_size_limit",
     "test_t",
     "top_element",

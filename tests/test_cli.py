@@ -96,6 +96,20 @@ def test_domain_dump(run):
     ]
 
 
+def test_domain_json_record(run):
+    r = run("domain", "--json", "(o->o)->o")
+    assert r.exit_code == 0 and json.loads(r.output) == {
+        "type": "(o -> o) -> o",
+        "size": 4,
+        "elements": ["[bot, bot, bot]", "[bot, bot, top]", "[bot, top, top]",
+                     "[top, top, top]"],
+        "covers": [[0, 1], [1, 2], [2, 3]],
+    }
+
+
+VERDICT_KEYS = {"kind", "verdict", "test_value", "type", "truncation_depths", "elapsed_ms"}
+
+
 def test_decide_nf_negative(run):
     r = run("decide-nf", r"Y{o} (\x:o. x)")
     assert r.exit_code == 1 and r.output == "no normal form\n"
@@ -105,11 +119,16 @@ def test_decide_nf_positive_json(run):
     r = run("decide-nf", "--json", "#2{o}")
     rec = json.loads(r.output)
     assert r.exit_code == 0 and rec["verdict"] is True
+    assert set(rec) == VERDICT_KEYS
 
 
 def test_decide_hnf(run):
     r = run("decide-hnf", r"\x:o->o. Y{o->o} (\f:o->o. \y:o. x (f y))")
     assert r.exit_code == 0 and r.output == "head normal form exists\n"
+    r = run("decide-hnf", "--json", r"\x:o->o. Y{o->o} (\f:o->o. \y:o. x (f y))")
+    rec = json.loads(r.output)
+    assert set(rec) == VERDICT_KEYS and rec["kind"] == "hnf"
+    assert rec["truncation_depths"] == {"o -> o": 2}
 
 
 def test_certify_nf(run):

@@ -9,6 +9,7 @@ from yflow.parser import parse_term, parse_type
 from yflow.reduction import assured_normalize
 from yflow.semantics import (
     DomainTooLarge,
+    Element,
     bottom_element,
     cardinality,
     enumerate_domain,
@@ -16,12 +17,9 @@ from yflow.semantics import (
     head_probe_s,
     head_test_t,
     height,
-    is_monotone_element,
-    key_join,
-    key_leq,
     lfp,
     probe_s,
-    render_key,
+    render_element,
     test_t as flow_test,
     top_element,
 )
@@ -39,6 +37,36 @@ SMALL_TYPES = [
     "(o->o)->o->o",
     "((o->o)->o)->o",
 ]
+
+# Every bench domain type with at most 168 elements.
+ORDER_TYPES = SMALL_TYPES + [
+    "(o->o->o)->o",
+    "o->o->o->o",
+    "(o->o)->(o->o)->o",
+    "((o->o)->o)->o->o",
+    "(o->o)->o->o->o",
+    "o->o->o->o->o",
+]
+
+
+def is_monotone_element(el):
+    """Hereditary monotonicity on masks; forces tables, so enumerable types only."""
+    if el.ty == O:
+        return True
+    dom = enumerate_domain(el.ty.domain)
+    tab = el.table()
+    n = len(dom)
+    for i in range(n):
+        for j in range(n):
+            if dom.leq(i, j) and tab[i].mask() & ~tab[j].mask():
+                return False
+    return all(is_monotone_element(entry) for entry in tab)
+
+
+def oracle_render(ty, value) -> str:
+    if ty == O:
+        return "top" if value else "bot"
+    return "[" + ", ".join(oracle_render(ty.codomain, v) for v in value) + "]"
 
 
 @pytest.mark.parametrize("s", SMALL_TYPES)
@@ -112,10 +140,53 @@ def test_oracle_agreement_on_order():
     assert ours == theirs
 
 
-def test_key_leq_join():
-    assert key_leq(False, True) and not key_leq(True, False)
-    assert key_join((False, True), (True, False)) == (True, True)
-    assert render_key((False, (True, True))) == "[bot, [top, top]]"
+def test_mask_leq_join_and_rendering():
+    bot, top = enumerate_domain(O).elements
+    assert bot.leq(top) and not top.leq(bot)
+    # the union of two masks is the pointwise join, and is in the domain
+    ty = parse_type("o->o->o")
+    dom = enumerate_domain(ty)
+    for a in dom.elements:
+        for b in dom.elements:
+            join = dom.elements[dom.index_of(Element(ty, mask=a.mask() | b.mask()))]
+            for x in (bot, top):
+                for y in (bot, top):
+                    want = a.apply(x).apply(y).flag or b.apply(x).apply(y).flag
+                    assert join.apply(x).apply(y).flag == want
+    assert render_element(Element(ty, mask=0b0011)) == "[[bot, bot], [top, top]]"
+
+
+@pytest.mark.parametrize("s", ORDER_TYPES)
+def test_order_and_covers_match_oracle(s):
+    # elements correspond to the oracle's index by index: same rendering,
+    # same order, and covers are the brute-force Hasse diagram of dom.leq
+    ty = parse_type(s)
+    dom = enumerate_domain(ty)
+    els = oracle_elements(ty)
+    n = len(dom)
+    assert [render_element(el) for el in dom.elements] == [
+        oracle_render(ty, e) for e in els]
+    strictly_above = [0] * n  # bitsets over indices
+    for i in range(n):
+        for j in range(n):
+            assert dom.leq(i, j) == oracle_leq(ty, els[i], els[j]), (s, i, j)
+            if i != j and dom.leq(i, j):
+                strictly_above[i] |= 1 << j
+    hasse = []
+    for i in range(n):
+        beyond = 0
+        for k in range(n):
+            if strictly_above[i] >> k & 1:
+                beyond |= strictly_above[k]
+        tops = strictly_above[i] & ~beyond
+        hasse += [(i, j) for j in range(n) if tops >> j & 1]
+    assert dom.covers() == hasse
+
+
+def test_enumerated_masks_strictly_increase():
+    for s in ORDER_TYPES + ["(o->o->o)->o->o->o"]:
+        masks = [el.mask() for el in enumerate_domain(parse_type(s)).elements]
+        assert all(a < b for a, b in zip(masks, masks[1:])), s
 
 
 def test_eval_folds_numerals_beyond_one():
@@ -167,7 +238,7 @@ def test_lfp_exhaustive_stabilization_at_small_types():
                     break
                 x = y
                 steps += 1
-            assert steps <= h, (s, render_key(f.key()))
+            assert steps <= h, (s, render_element(f))
             assert lfp(f) == x
             assert f.apply(lfp(f)) == lfp(f)
 
