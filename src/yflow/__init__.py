@@ -55,7 +55,6 @@ from .semantics import (
     cardinality,
     enumerate_domain,
     eval_term,
-    head_probe_s,
     head_test_t,
     height,
     lfp,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .printer import term_to_str
 from .reduction import assured_normalize
 from .semantics import eval_term, head_test_t, height, test_t
-from .terms import Term, contains_omega, type_of, y_truncate, y_types
+from .terms import Term, contains_omega, y_truncate, y_types
 from .types import SimpleType, type_to_str
 
 
@@ -84,12 +84,12 @@ def tilde_Y(t: Term) -> Term:
 
 def _decide(t: Term, kind: str) -> AnalysisReport:
     start = time.perf_counter()
-    ty = type_of(t, {})
+    value = eval_term(t)
     depths = truncation_depths(t)
-    test = test_t(ty) if kind == "nf" else head_test_t(ty)
-    flag = test.apply(eval_term(t)).flag
+    test = head_test_t(value.ty) if kind == "hnf" else test_t(value.ty)
+    flag = test.apply(value).flag
     elapsed = (time.perf_counter() - start) * 1000.0
-    return AnalysisReport(kind=kind, verdict=flag, subject_type=ty,
+    return AnalysisReport(kind=kind, verdict=flag, subject_type=value.ty,
                           truncation_depths=depths, elapsed_ms=elapsed)
 
 
@@ -107,11 +107,7 @@ def has_head_normal_form(t: Term) -> AnalysisReport:
 def properness_report(t: Term) -> AnalysisReport:
     """For a term without fixed-point constants: decide whether its long
     normal form is proper, i.e. mentions no bottom constant."""
-    report = _decide(t, "nf")
-    return AnalysisReport(kind="properness", verdict=report.verdict,
-                          subject_type=report.subject_type,
-                          truncation_depths=report.truncation_depths,
-                          elapsed_ms=report.elapsed_ms)
+    return _decide(t, "properness")
 
 
 def certified_normalize(t: Term, report: AnalysisReport | None = None) -> Term | None:

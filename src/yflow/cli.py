@@ -114,6 +114,14 @@ def _echo_json(obj) -> None:
     click.echo(json.dumps(obj, sort_keys=True))
 
 
+def _echo_term(t, no_sugar: bool, as_json: bool) -> None:
+    """Print a result term, or its {"term", "size"} record under --json."""
+    if as_json:
+        _echo_json({"term": term_to_str(t, sugar=not no_sugar), "size": term_size(t)})
+    else:
+        click.echo(term_to_str(t, sugar=not no_sugar))
+
+
 @click.group()
 @click.option("--size-limit", type=int, envvar="YFLOW_SIZE_LIMIT", default=None,
               metavar="N", help="Domain enumeration bound for this invocation "
@@ -197,11 +205,7 @@ def long_nf_cmd(term_text, file, no_sugar, as_json):
     """Print the long (eta-expanded) normal form of a fixed-point-free term."""
     t = _read_term(term_text, file)
     nf = long_normal_form(t)
-    if as_json:
-        _echo_json({"term": term_to_str(nf, sugar=not no_sugar),
-                    "size": term_size(nf)})
-    else:
-        click.echo(term_to_str(nf, sugar=not no_sugar))
+    _echo_term(nf, no_sugar, as_json)
 
 
 @main.command("proper")
@@ -233,13 +237,11 @@ def proper_cmd(term_text, file, as_json):
 @guarded
 def eval_cmd(term_text, file, as_json):
     """Evaluate a closed term and print its domain element."""
-    t = _read_term(term_text, file)
-    ty = type_of(t, {})
-    value = render_element(eval_term(t))
+    value = eval_term(_read_term(term_text, file))
     if as_json:
-        _echo_json({"value": value, "type": type_to_str(ty)})
+        _echo_json({"value": render_element(value), "type": type_to_str(value.ty)})
     else:
-        click.echo(value)
+        click.echo(render_element(value))
 
 
 @main.command("height")
@@ -343,11 +345,7 @@ def tilde_y_cmd(term_text, file, no_sugar, as_json):
     """Replace fixed points by their height-deep truncated unfoldings."""
     t = _read_term(term_text, file)
     out = tilde_Y(t)
-    if as_json:
-        _echo_json({"term": term_to_str(out, sugar=not no_sugar),
-                    "size": term_size(out)})
-    else:
-        click.echo(term_to_str(out, sugar=not no_sugar))
+    _echo_term(out, no_sugar, as_json)
 
 
 @main.command("tilde-omega")
@@ -359,11 +357,7 @@ def tilde_omega_cmd(term_text, file, no_sugar, as_json):
     """Expand higher-type bottom constants to ground ones."""
     t = _read_term(term_text, file)
     out = tilde_omega_map(t)
-    if as_json:
-        _echo_json({"term": term_to_str(out, sugar=not no_sugar),
-                    "size": term_size(out)})
-    else:
-        click.echo(term_to_str(out, sugar=not no_sugar))
+    _echo_term(out, no_sugar, as_json)
 
 
 @main.command("eliminate-omega")
@@ -378,11 +372,7 @@ def eliminate_omega_cmd(term_text, file, numeral_args, no_sugar, as_json):
     """Rewrite a ground-bottom term at numeral type into a pure one."""
     t = _read_term(term_text, file)
     out = eliminate_omega(t, numeral_args=numeral_args)
-    if as_json:
-        _echo_json({"term": term_to_str(out, sugar=not no_sugar),
-                    "size": term_size(out)})
-    else:
-        click.echo(term_to_str(out, sugar=not no_sugar))
+    _echo_term(out, no_sugar, as_json)
 
 
 @main.command("check-defines")

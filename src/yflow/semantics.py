@@ -22,6 +22,14 @@ table over the enumerated argument domain and packs it into the mask;
 only then can DomainTooLarge arise.  Enumerated elements are born from
 a mask, and applying one reads the entry at the argument's index.
 
+A term is compiled once per evaluation: one walk gives every subterm its
+type (a variable carries its own, an abstraction's comes from its
+compiled body) and a function from environments to elements.  The
+closures an abstraction yields share that compiled body, so applying
+one neither retypes nor re-walks the term.  Each constant compiles to
+one shared element, and bottom and top elements share their codomain
+elements, so a mask forced once is reused.
+
 Domains are enumerated once per process and cached; insertion holds a
 lock, so concurrent readers are safe.  The canonical element order is
 lexicographic on tables over the canonically ordered argument domain,
@@ -169,13 +177,15 @@ class Element:
 def bottom_element(ty: SimpleType) -> Element:
     if ty == GROUND:
         return Element.of_bool(False)
-    return Element.closure(ty, lambda _arg: bottom_element(ty.codomain))
+    cod = bottom_element(ty.codomain)
+    return Element.closure(ty, lambda _arg: cod)
 
 
 def top_element(ty: SimpleType) -> Element:
     if ty == GROUND:
         return Element.of_bool(True)
-    return Element.closure(ty, lambda _arg: top_element(ty.codomain))
+    cod = top_element(ty.codomain)
+    return Element.closure(ty, lambda _arg: cod)
 
 
 class Domain:
@@ -339,60 +349,77 @@ Environment = Mapping[str, Element]
 def eval_term(t: Term, env: Environment | None = None) -> Element:
     """Denotation of a term; env supplies elements for free variables."""
     bound: dict[str, Element] = dict(env) if env else {}
-    ctx = {name: el.ty for name, el in bound.items()}
-    type_of(t, ctx)
-    return _ev(t, bound, ctx)
+    type_of(t, {name: el.ty for name, el in bound.items()})
+    return _compile(t)[1](bound)
 
 
-def _ev(t: Term, env: dict[str, Element], ctx: dict[str, SimpleType]) -> Element:
+def _compile(t: Term) -> tuple[SimpleType, Callable[[dict[str, Element]], Element]]:
+    """The type of a well-typed term and a function from environments to its value."""
     if isinstance(t, Var):
-        return env[t.name]
+        name = t.name
+        return t.ty, lambda env: env[name]
     if isinstance(t, Lam):
-        inner_ctx = dict(ctx)
-        inner_ctx[t.var] = t.var_ty
-        body_ty = type_of(t.body, inner_ctx)
+        body_ty, body = _compile(t.body)
+        ty, var = Arrow(t.var_ty, body_ty), t.var
 
-        def fn(arg: Element) -> Element:
-            inner_env = dict(env)
-            inner_env[t.var] = arg
-            return _ev(t.body, inner_env, inner_ctx)
+        def run(env: dict[str, Element]) -> Element:
+            def fn(arg: Element) -> Element:
+                inner_env = dict(env)
+                inner_env[var] = arg
+                return body(inner_env)
 
-        return Element.closure(Arrow(t.var_ty, body_ty), fn)
+            return Element.closure(ty, fn)
+
+        return ty, run
     if isinstance(t, App):
-        return _ev(t.fun, env, ctx).apply(_ev(t.arg, env, ctx))
+        fun_ty, fun = _compile(t.fun)
+        arg = _compile(t.arg)[1]
+        return fun_ty.codomain, lambda env: fun(env).apply(arg(env))
     if isinstance(t, OmegaConst):
-        return bottom_element(t.ty)
-    if isinstance(t, YConst):
-        sigma = t.ty
-        return Element.closure(Arrow(Arrow(sigma, sigma), sigma), lfp)
-    raise TypeError(f"not a term: {t!r}")
+        el = bottom_element(t.ty)
+    elif isinstance(t, YConst):
+        el = Element.closure(Arrow(Arrow(t.ty, t.ty), t.ty), lfp)
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    return el.ty, lambda env: el
 
 
 # ---------------------------------------------------------------------------
 # Test and probe elements.  test_t(s) applies its argument to one probe
 # per argument type; probe_s(s) answers the conjunction of the tests of
 # the arguments it receives.  At ground type the test is the identity
-# and the probe is top.  The head variants replace every probe by top,
-# which weakens the test to head availability.
+# and the probe is top.  The head test replaces every probe by the top
+# element, which weakens the test to head availability.
 
 _test_cache: dict[SimpleType, Element] = {}
 _probe_cache: dict[SimpleType, Element] = {}
 _head_test_cache: dict[SimpleType, Element] = {}
-_head_probe_cache: dict[SimpleType, Element] = {}
+
+
+def _make_test(ty: SimpleType, probe: Callable[[SimpleType], Element]) -> Element:
+    probes = [probe(a) for a in argument_types(ty)]
+
+    def fn(f: Element) -> Element:
+        for p in probes:
+            f = f.apply(p)
+        return f
+
+    return Element.closure(Arrow(ty, GROUND), fn)
 
 
 def test_t(ty: SimpleType) -> Element:
     """The normal-form test at ty, an element of type ty -> o."""
     el = _test_cache.get(ty)
     if el is None:
-        probes = [probe_s(a) for a in argument_types(ty)]
+        el = _test_cache.setdefault(ty, _make_test(ty, probe_s))
+    return el
 
-        def fn(f: Element) -> Element:
-            for p in probes:
-                f = f.apply(p)
-            return f
 
-        el = _test_cache.setdefault(ty, Element.closure(Arrow(ty, GROUND), fn))
+def head_test_t(ty: SimpleType) -> Element:
+    """The head-form test at ty: apply to top elements."""
+    el = _head_test_cache.get(ty)
+    if el is None:
+        el = _head_test_cache.setdefault(ty, _make_test(ty, top_element))
     return el
 
 
@@ -400,18 +427,18 @@ def probe_s(ty: SimpleType) -> Element:
     """The probe at ty, an element of the domain at ty."""
     el = _probe_cache.get(ty)
     if el is None:
-        el = _probe_cache.setdefault(ty, _make_probe(ty, test_t))
+        el = _probe_cache.setdefault(ty, _make_probe(ty))
     return el
 
 
-def _make_probe(ty: SimpleType, test: Callable[[SimpleType], Element]) -> Element:
+def _make_probe(ty: SimpleType) -> Element:
     args = argument_types(ty)
     if not args:
         return Element.of_bool(True)
 
     def stage(i: int, acc: bool) -> Element:
         def fn(x: Element, i=i, acc=acc) -> Element:
-            acc2 = acc and test(args[i]).apply(x).flag
+            acc2 = acc and test_t(args[i]).apply(x).flag
             if i + 1 == len(args):
                 return Element.of_bool(acc2)
             return stage(i + 1, acc2)
@@ -419,29 +446,6 @@ def _make_probe(ty: SimpleType, test: Callable[[SimpleType], Element]) -> Elemen
         return Element.closure(arrow(args[i:], GROUND), fn)
 
     return stage(0, True)
-
-
-def head_test_t(ty: SimpleType) -> Element:
-    """The head-form test at ty: apply to top probes."""
-    el = _head_test_cache.get(ty)
-    if el is None:
-        probes = [head_probe_s(a) for a in argument_types(ty)]
-
-        def fn(f: Element) -> Element:
-            for p in probes:
-                f = f.apply(p)
-            return f
-
-        el = _head_test_cache.setdefault(ty, Element.closure(Arrow(ty, GROUND), fn))
-    return el
-
-
-def head_probe_s(ty: SimpleType) -> Element:
-    """The head-form probe: ignores its arguments, i.e. the top element."""
-    el = _head_probe_cache.get(ty)
-    if el is None:
-        el = _head_probe_cache.setdefault(ty, top_element(ty))
-    return el
 
 
 def render_element(el: Element) -> str:
@@ -482,7 +486,6 @@ __all__ = [
     "dump_domain",
     "enumerate_domain",
     "eval_term",
-    "head_probe_s",
     "head_test_t",
     "height",
     "lfp",

@@ -181,21 +181,6 @@ def omega_types(t: Term) -> set[SimpleType]:
     return {s.ty for s in subterms(t) if isinstance(s, OmegaConst)}
 
 
-def is_beta_eta_term(t: Term) -> bool:
-    """No constants at all."""
-    return not contains_y(t) and not contains_omega(t)
-
-
-def is_omega_term(t: Term) -> bool:
-    """Bottom constants at ground type only, and no fixed-point constants."""
-    return not contains_y(t) and all(ty == GROUND for ty in omega_types(t))
-
-
-def is_omega_plus_term(t: Term) -> bool:
-    """Bottom constants at any type, no fixed-point constants."""
-    return not contains_y(t)
-
-
 def type_of(t: Term, context: Mapping[str, SimpleType] | None = None) -> SimpleType:
     """Type of t, with context supplying the types of free variables.
 
@@ -434,9 +419,6 @@ __all__ = [
     "contains_y",
     "free_vars",
     "fresh_name",
-    "is_beta_eta_term",
-    "is_omega_plus_term",
-    "is_omega_term",
     "match_numeral",
     "numeral_type",
     "omega_tilde",

@@ -15,7 +15,8 @@ from yflow.analysis import (
 from yflow.parser import parse_term
 from yflow.printer import term_to_str
 from yflow.reduction import assured_normalize, classify_properness, long_normal_form
-from yflow.terms import TypingError, contains_omega, contains_y, church_numeral, y_truncate
+from yflow.terms import (
+    TypingError, contains_omega, contains_y, church_numeral, type_of, y_truncate)
 from yflow.types import GROUND, Arrow
 
 O = GROUND
@@ -99,6 +100,7 @@ def test_truncation_value_is_stable_past_height():
     for t in lambda_y_corpus()[::6]:
         depths = truncation_depths(t)
         base = eval_term(t)
+        assert base.ty == type_of(t, {}), term_to_str(t)
         for extra in (0, 1, 2):
             bumped = {ty: d + extra for ty, d in depths.items()}
             assert eval_term(y_truncate(t, bumped)) == base, term_to_str(t)

@@ -65,6 +65,9 @@ def test_normalize_fuel_exhaustion_exit_code(run):
 def test_long_nf(run):
     r = run("long-nf", r"\g:(o->o)->o. g")
     assert r.output == "\\g:(o -> o) -> o. \\e2:o -> o. g (\\e1:o. e2 e1)\n"
+    r = run("long-nf", "--json", r"\g:(o->o)->o. g")
+    assert json.loads(r.output) == {
+        "term": "\\g:(o -> o) -> o. \\e2:o -> o. g (\\e1:o. e2 e1)", "size": 8}
 
 
 def test_proper_and_exit_codes(run):
@@ -141,16 +144,23 @@ def test_certify_nf(run):
 def test_tilde_y(run):
     r = run("tilde-y", r"Y{o} (\x:o. x)")
     assert r.output == "(\\f:o -> o. f Omega{o}) (\\x:o. x)\n"
+    r = run("tilde-y", "--json", r"Y{o} (\x:o. x)")
+    assert json.loads(r.output) == {"term": "(\\f:o -> o. f Omega{o}) (\\x:o. x)", "size": 7}
 
 
 def test_tilde_omega(run):
     r = run("tilde-omega", "Omega{(o->o)->o}")
     assert r.output == "\\x1:o -> o. Omega{o}\n"
+    r = run("tilde-omega", "--json", "Omega{(o->o)->o}")
+    assert json.loads(r.output) == {"term": "\\x1:o -> o. Omega{o}", "size": 2}
 
 
 def test_eliminate_omega(run):
     r = run("eliminate-omega", "--numeral-args", "0", r"\f:o->o. \x:o. f Omega{o}")
     assert r.output == "#1{o}\n"
+    r = run("eliminate-omega", "--json", "--no-sugar", "--numeral-args", "0",
+            r"\f:o->o. \x:o. f Omega{o}")
+    assert r.output == '{"size": 5, "term": "\\\\f:o -> o. \\\\x:o. f x"}\n'
 
 
 def test_file_input(run, tmp_path):

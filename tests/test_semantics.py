@@ -14,7 +14,6 @@ from yflow.semantics import (
     cardinality,
     enumerate_domain,
     eval_term,
-    head_probe_s,
     head_test_t,
     height,
     lfp,
@@ -246,7 +245,7 @@ def test_lfp_exhaustive_stabilization_at_small_types():
 def test_ground_test_is_identity_and_probe_is_top():
     assert flow_test(O).apply(eval_term(OmegaConst(O))).flag is False
     assert probe_s(O).flag is True
-    assert head_probe_s(O).flag is True
+    assert top_element(O).flag is True
 
 
 def test_test_values_on_basic_terms():
@@ -265,7 +264,7 @@ def test_probe_and_test_elements_are_monotone():
         ty = parse_type(s)
         assert is_monotone_element(probe_s(ty))
         assert is_monotone_element(flow_test(ty))
-        assert is_monotone_element(head_probe_s(ty))
+        assert is_monotone_element(top_element(ty))
         assert is_monotone_element(head_test_t(ty))
 
 
@@ -276,3 +275,15 @@ def test_eval_requires_closed_or_env():
     with pytest.raises(TypingError):
         eval_term(t)
     assert eval_term(t, {"z": top_element(O)}).flag
+
+
+def test_eval_types_the_term_once(monkeypatch):
+    import yflow.semantics as semantics
+
+    calls = []
+    real = semantics.type_of
+    monkeypatch.setattr(semantics, "type_of", lambda *a: calls.append(a) or real(*a))
+    t = parse_term(r"Y{o->o} (\f:o->o. \x:o. Y{o->o} (\g:o->o. \y:o. f (g y)) x) Omega{o}")
+    value = eval_term(t)
+    assert len(calls) == 1
+    assert value.ty == O and value.flag is False
