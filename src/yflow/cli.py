@@ -54,10 +54,21 @@ from .terms import TypingError, term_to_tree, tilde_omega_map, type_of
 from .types import type_to_str
 
 
+def _echo(message: str, err: bool = False, nl: bool = True) -> None:
+    """click.echo to the stream that stdout or stderr is now.
+
+    Without a file, click.echo caches a wrapper per stream that keeps the
+    stream alive, so every in-process invocation (CliRunner) would leak
+    its captured output; get_text_stream resolves the same wrapper uncached.
+    """
+    stream = click.get_text_stream("stderr" if err else "stdout", errors=None)
+    click.echo(message, file=stream, nl=nl)
+
+
 def _fail(stage: str, message: str, as_json: bool):
     if as_json:
-        click.echo(json.dumps({"error": message, "stage": stage}, sort_keys=True))
-    click.echo(f"error [{stage}]: {message}", err=True)
+        _echo(json.dumps({"error": message, "stage": stage}, sort_keys=True))
+    _echo(f"error [{stage}]: {message}", err=True)
     sys.exit(2)
 
 
@@ -111,7 +122,7 @@ def _read_term(term_text, file):
 
 
 def _echo_json(obj) -> None:
-    click.echo(json.dumps(obj, sort_keys=True))
+    _echo(json.dumps(obj, sort_keys=True))
 
 
 def _echo_term(t, no_sugar: bool, as_json: bool) -> None:
@@ -119,7 +130,7 @@ def _echo_term(t, no_sugar: bool, as_json: bool) -> None:
     if as_json:
         _echo_json({"term": term_to_str(t, sugar=not no_sugar), "size": term_size(t)})
     else:
-        click.echo(term_to_str(t, sugar=not no_sugar))
+        _echo(term_to_str(t, sugar=not no_sugar))
 
 
 @click.group()
@@ -148,7 +159,7 @@ def parse_cmd(term_text, file, no_sugar, as_json):
                     "type": type_to_str(ty), "size": term_size(t),
                     "tree": term_to_tree(t)})
     else:
-        click.echo(term_to_str(t, sugar=not no_sugar))
+        _echo(term_to_str(t, sugar=not no_sugar))
 
 
 @main.command("typecheck")
@@ -162,7 +173,7 @@ def typecheck_cmd(term_text, file, as_json):
     if as_json:
         _echo_json({"type": type_to_str(ty)})
     else:
-        click.echo(type_to_str(ty))
+        _echo(type_to_str(ty))
 
 
 @main.command("normalize")
@@ -186,14 +197,14 @@ def normalize_cmd(term_text, file, fuel, strategy, no_sugar, as_json):
                         "last_term": term_to_str(outcome.last_term,
                                                  sugar=not no_sugar)})
         else:
-            click.echo(f"fuel exhausted after {outcome.fuel} steps", err=True)
-            click.echo(term_to_str(outcome.last_term, sugar=not no_sugar))
+            _echo(f"fuel exhausted after {outcome.fuel} steps", err=True)
+            _echo(term_to_str(outcome.last_term, sugar=not no_sugar))
         sys.exit(1)
     if as_json:
         _echo_json({"normalized": True, "steps": outcome.steps,
                     "term": term_to_str(outcome.term, sugar=not no_sugar)})
     else:
-        click.echo(term_to_str(outcome.term, sugar=not no_sugar))
+        _echo(term_to_str(outcome.term, sugar=not no_sugar))
 
 
 @main.command("long-nf")
@@ -224,9 +235,9 @@ def proper_cmd(term_text, file, as_json):
                     "path": None if verdict else verdict.render_path(),
                     "long_normal_form": term_to_str(nf)})
     elif verdict:
-        click.echo("proper")
+        _echo("proper")
     else:
-        click.echo(f"improper at {verdict.render_path()}")
+        _echo(f"improper at {verdict.render_path()}")
     if not verdict:
         sys.exit(1)
 
@@ -241,7 +252,7 @@ def eval_cmd(term_text, file, as_json):
     if as_json:
         _echo_json({"value": render_element(value), "type": type_to_str(value.ty)})
     else:
-        click.echo(render_element(value))
+        _echo(render_element(value))
 
 
 @main.command("height")
@@ -255,7 +266,7 @@ def height_cmd(type_text, as_json):
     if as_json:
         _echo_json({"type": type_to_str(ty), "height": h})
     else:
-        click.echo(str(h))
+        _echo(str(h))
 
 
 @main.command("domain")
@@ -271,7 +282,7 @@ def domain_cmd(type_text, as_json):
                     "elements": [render_element(el) for el in dom.elements],
                     "covers": [list(c) for c in dom.covers()]})
     else:
-        click.echo(dump_domain(dom), nl=False)
+        _echo(dump_domain(dom), nl=False)
 
 
 @main.command("decide-nf")
@@ -287,7 +298,7 @@ def decide_nf_cmd(term_text, file, as_json):
     if as_json:
         _echo_json(report.to_json())
     else:
-        click.echo("normal form exists" if report.verdict else "no normal form")
+        _echo("normal form exists" if report.verdict else "no normal form")
     if not report.verdict:
         sys.exit(1)
 
@@ -305,8 +316,8 @@ def decide_hnf_cmd(term_text, file, as_json):
     if as_json:
         _echo_json(report.to_json())
     else:
-        click.echo("head normal form exists" if report.verdict
-                   else "no head normal form")
+        _echo("head normal form exists" if report.verdict
+              else "no head normal form")
     if not report.verdict:
         sys.exit(1)
 
@@ -329,9 +340,9 @@ def certify_nf_cmd(term_text, file, no_sugar, as_json):
             nf, sugar=not no_sugar)
         _echo_json(record)
     elif nf is None:
-        click.echo("no normal form")
+        _echo("no normal form")
     else:
-        click.echo(term_to_str(nf, sugar=not no_sugar))
+        _echo(term_to_str(nf, sugar=not no_sugar))
     if nf is None:
         sys.exit(1)
 
@@ -388,11 +399,11 @@ def check_defines_cmd(specfile, as_json):
     if as_json:
         _echo_json(verdict.to_json())
     else:
-        click.echo(verdict.render_table())
+        _echo(verdict.render_table())
         if verdict.consistent:
-            click.echo("consistent")
+            _echo("consistent")
         else:
-            click.echo(f"refuted at {verdict.witness.args}")
+            _echo(f"refuted at {verdict.witness.args}")
     if not verdict.consistent:
         sys.exit(1)
 
@@ -410,7 +421,7 @@ def pipeline_cmd(specfile, as_json):
     if as_json:
         _echo_json(result.to_json())
     else:
-        click.echo(result.render())
+        _echo(result.render())
     if not result.holds:
         sys.exit(1)
 
@@ -431,7 +442,7 @@ def depth_probe_cmd(term_text, file, first_zero, alpha, depth, as_json):
     if as_json:
         _echo_json(report.to_json())
     else:
-        click.echo(report.render())
+        _echo(report.render())
 
 
 if __name__ == "__main__":

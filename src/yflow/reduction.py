@@ -31,6 +31,7 @@ from .terms import (
     contains_y,
     free_vars,
     fresh_name,
+    map_leaves,
     match_numeral,
     omega_types,
     subterms,
@@ -371,13 +372,9 @@ def eliminate_omega(t: Term, numeral_args: int | None = None) -> Term:
         if isinstance(s, OmegaConst):
             assert s.ty == GROUND
             return spine
-        if isinstance(s, Lam):
-            return Lam(s.var, s.var_ty, replace(s.body))
-        if isinstance(s, App):
-            return App(replace(s.fun), replace(s.arg))
         return s
 
-    body = replace(body)
+    body = map_leaves(body, replace)
     for name, bty in reversed(binders):
         body = Lam(name, bty, body)
     return body

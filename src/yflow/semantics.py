@@ -15,12 +15,15 @@ ordered argument domains, the first point in the most significant bit.
 The pointwise order is mask inclusion, and two elements are equal when
 their types and masks agree.
 
-Elements carry a dual representation.  A closure form applies lazily,
-so evaluation and the test/probe construction never enumerate anything.
-Extensional equality (needed by the fixed-point iteration) forces the
-table over the enumerated argument domain and packs it into the mask;
-only then can DomainTooLarge arise.  Enumerated elements are born from
-a mask, and applying one reads the entry at the argument's index.
+An arrow element is either lazy or forced, never both.  A lazy element
+is a closure that applies on demand, so evaluation and the test/probe
+construction never enumerate anything.  Extensional equality (needed by
+the fixed-point iteration) forces it: the table over the enumerated
+argument domain is packed into the mask and the closure is dropped, as
+call-by-need overwrites a forced thunk with its value.  Only forcing can
+raise DomainTooLarge.  Enumerated elements are born forced, and applying
+a forced element reads the entry at the argument's index, so each lfp
+iterate is computed from the previous one's mask, not from its history.
 
 A term is compiled once per evaluation: one walk gives every subterm its
 type (a variable carries its own, an abstraction's comes from its
@@ -49,6 +52,7 @@ and lfp fail together.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Callable, Mapping
 
@@ -91,8 +95,8 @@ class DomainTooLarge(Exception):
 class Element:
     """A value in one of the finite domains.
 
-    Ground elements hold a one-bit mask.  Arrow elements hold a closure,
-    a mask, or both; when both are present they agree pointwise.
+    Ground elements hold a one-bit mask.  An arrow element holds either a
+    closure (_fn, lazy) or a mask (forced); forcing replaces the closure.
     """
 
     __slots__ = ("ty", "_fn", "_mask", "_width")
@@ -110,10 +114,6 @@ class Element:
     def of_bool(flag: bool) -> "Element":
         return Element(GROUND, mask=int(bool(flag)), width=1)
 
-    @staticmethod
-    def closure(ty: Arrow, fn: Callable[["Element"], "Element"]) -> "Element":
-        return Element(ty, fn=fn)
-
     @property
     def flag(self) -> bool:
         if isinstance(self.ty, Arrow):
@@ -121,8 +121,9 @@ class Element:
         return self._mask == 1
 
     def apply(self, arg: "Element") -> "Element":
-        if self._fn is not None:
-            return self._fn(arg)
+        fn = self._fn
+        if fn is not None:
+            return fn(arg)
         if not isinstance(self.ty, Arrow):
             raise ValueError("ground element cannot be applied")
         dom = enumerate_domain(self.ty.domain)
@@ -137,23 +138,28 @@ class Element:
     def table(self) -> tuple["Element", ...]:
         """The entries over the argument domain in canonical order.
 
-        Enumerates the argument domain; forcing a closure records its mask.
+        Enumerates the argument domain; forcing a closure stores its mask
+        and width, then drops the closure, so a concurrent reader that
+        finds _fn gone finds the mask in place.
         """
         dom = enumerate_domain(self.ty.domain)
         n = len(dom)
-        if self._mask is not None:
+        fn = self._fn
+        if fn is None:
             return tuple(self._entry(i, n) for i in range(n))
-        entries = tuple(self._fn(el) for el in dom.elements)
+        entries = tuple(fn(el) for el in dom.elements)
         mask = 0
         for entry in entries:
             entry_mask = entry.mask()
             mask = mask << entry._width | entry_mask
-        self._mask, self._width = mask, n * entries[0]._width
+        self._width = n * entries[0]._width
+        self._mask = mask
+        self._fn = None
         return entries
 
     def mask(self) -> int:
         """The points sent to top as a height-bit int (see the module docstring)."""
-        if self._mask is None:
+        if self._fn is not None:
             self.table()
         return self._mask
 
@@ -178,14 +184,14 @@ def bottom_element(ty: SimpleType) -> Element:
     if ty == GROUND:
         return Element.of_bool(False)
     cod = bottom_element(ty.codomain)
-    return Element.closure(ty, lambda _arg: cod)
+    return Element(ty, lambda _arg: cod)
 
 
 def top_element(ty: SimpleType) -> Element:
     if ty == GROUND:
         return Element.of_bool(True)
     cod = top_element(ty.codomain)
-    return Element.closure(ty, lambda _arg: cod)
+    return Element(ty, lambda _arg: cod)
 
 
 class Domain:
@@ -368,7 +374,7 @@ def _compile(t: Term) -> tuple[SimpleType, Callable[[dict[str, Element]], Elemen
                 inner_env[var] = arg
                 return body(inner_env)
 
-            return Element.closure(ty, fn)
+            return Element(ty, fn)
 
         return ty, run
     if isinstance(t, App):
@@ -378,7 +384,7 @@ def _compile(t: Term) -> tuple[SimpleType, Callable[[dict[str, Element]], Elemen
     if isinstance(t, OmegaConst):
         el = bottom_element(t.ty)
     elif isinstance(t, YConst):
-        el = Element.closure(Arrow(Arrow(t.ty, t.ty), t.ty), lfp)
+        el = Element(Arrow(Arrow(t.ty, t.ty), t.ty), lfp)
     else:
         raise TypeError(f"not a term: {t!r}")
     return el.ty, lambda env: el
@@ -391,11 +397,6 @@ def _compile(t: Term) -> tuple[SimpleType, Callable[[dict[str, Element]], Elemen
 # and the probe is top.  The head test replaces every probe by the top
 # element, which weakens the test to head availability.
 
-_test_cache: dict[SimpleType, Element] = {}
-_probe_cache: dict[SimpleType, Element] = {}
-_head_test_cache: dict[SimpleType, Element] = {}
-
-
 def _make_test(ty: SimpleType, probe: Callable[[SimpleType], Element]) -> Element:
     probes = [probe(a) for a in argument_types(ty)]
 
@@ -404,34 +405,24 @@ def _make_test(ty: SimpleType, probe: Callable[[SimpleType], Element]) -> Elemen
             f = f.apply(p)
         return f
 
-    return Element.closure(Arrow(ty, GROUND), fn)
+    return Element(Arrow(ty, GROUND), fn)
 
 
+@functools.cache
 def test_t(ty: SimpleType) -> Element:
     """The normal-form test at ty, an element of type ty -> o."""
-    el = _test_cache.get(ty)
-    if el is None:
-        el = _test_cache.setdefault(ty, _make_test(ty, probe_s))
-    return el
+    return _make_test(ty, probe_s)
 
 
+@functools.cache
 def head_test_t(ty: SimpleType) -> Element:
     """The head-form test at ty: apply to top elements."""
-    el = _head_test_cache.get(ty)
-    if el is None:
-        el = _head_test_cache.setdefault(ty, _make_test(ty, top_element))
-    return el
+    return _make_test(ty, top_element)
 
 
+@functools.cache
 def probe_s(ty: SimpleType) -> Element:
     """The probe at ty, an element of the domain at ty."""
-    el = _probe_cache.get(ty)
-    if el is None:
-        el = _probe_cache.setdefault(ty, _make_probe(ty))
-    return el
-
-
-def _make_probe(ty: SimpleType) -> Element:
     args = argument_types(ty)
     if not args:
         return Element.of_bool(True)
@@ -443,7 +434,7 @@ def _make_probe(ty: SimpleType) -> Element:
                 return Element.of_bool(acc2)
             return stage(i + 1, acc2)
 
-        return Element.closure(arrow(args[i:], GROUND), fn)
+        return Element(arrow(args[i:], GROUND), fn)
 
     return stage(0, True)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .types import (
     GROUND,
@@ -290,6 +290,19 @@ def _subst(t: Term, var: Var, replacement: Term) -> Term:
     return walk(t)
 
 
+def map_leaves(t: Term, fn: Callable[[Term], Term]) -> Term:
+    """t with every leaf s (a variable or a constant) replaced by fn(s).
+
+    Binders are kept as they are: the terms fn returns are not renamed,
+    so their free variables are bound by the binders above the leaf.
+    """
+    if isinstance(t, Lam):
+        return Lam(t.var, t.var_ty, map_leaves(t.body, fn))
+    if isinstance(t, App):
+        return App(map_leaves(t.fun, fn), map_leaves(t.arg, fn))
+    return fn(t)
+
+
 def omega_tilde(ty: SimpleType) -> Term:
     """\\x1:t1...\\xn:tn. Omega{o} for ty = t1 -> ... -> tn -> o."""
     args = argument_types(ty)
@@ -307,17 +320,7 @@ def tilde_omega_map(t: Term) -> Term:
     """
     if contains_y(t):
         raise ValueError("tilde_omega_map does not apply to terms with Y constants")
-
-    def walk(s: Term) -> Term:
-        if isinstance(s, OmegaConst):
-            return omega_tilde(s.ty)
-        if isinstance(s, Lam):
-            return Lam(s.var, s.var_ty, walk(s.body))
-        if isinstance(s, App):
-            return App(walk(s.fun), walk(s.arg))
-        return s
-
-    return walk(t)
+    return map_leaves(t, lambda s: omega_tilde(s.ty) if isinstance(s, OmegaConst) else s)
 
 
 def y_tilde(n: int, ty: SimpleType) -> Term:
@@ -340,17 +343,7 @@ def y_truncate(t: Term, depths: Mapping[SimpleType, int]) -> Term:
     if missing:
         listed = ", ".join(sorted(type_to_str(ty) for ty in missing))
         raise ValueError(f"no truncation depth for recursion type(s): {listed}")
-
-    def walk(s: Term) -> Term:
-        if isinstance(s, YConst):
-            return y_tilde(depths[s.ty], s.ty)
-        if isinstance(s, Lam):
-            return Lam(s.var, s.var_ty, walk(s.body))
-        if isinstance(s, App):
-            return App(walk(s.fun), walk(s.arg))
-        return s
-
-    return walk(t)
+    return map_leaves(t, lambda s: y_tilde(depths[s.ty], s.ty) if isinstance(s, YConst) else s)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +412,7 @@ __all__ = [
     "contains_y",
     "free_vars",
     "fresh_name",
+    "map_leaves",
     "match_numeral",
     "numeral_type",
     "omega_tilde",

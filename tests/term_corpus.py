@@ -1,10 +1,13 @@
 """Deterministic term corpora for the cross-validation suites.
 
-Both corpora are generated from a fixed seed, so every run sees the
+Both generated corpora come from a fixed seed, so every run sees the
 same terms.  The recursion corpus keeps Y at recursion types o and
-o -> o only; that is where the fixed-point iterations the tests trigger
-stay cheap, and both converging and diverging members are guaranteed by
-construction.  The bottoms corpus mixes discarding redexes (bottoms at
+o -> o, where random terms are cheap to reduce, and both converging and
+diverging members are guaranteed by construction.  HIGHER_Y_CORPUS is a
+fixed list that puts Y at W (the numeral type), o -> o -> o and
+(o -> o) -> o, with converging and diverging members at each; W -> W is
+left out because reducing the truncations of its terms is too slow for
+the suite.  The bottoms corpus mixes discarding redexes (bottoms at
 higher types that vanish during reduction), kept bottoms (improper
 results) and plain redex-heavy pure terms.
 """
@@ -13,7 +16,9 @@ from __future__ import annotations
 
 import random
 
+from yflow.harness import extended_poly
 from yflow.parser import parse_term
+from yflow.printer import term_to_str
 from yflow.terms import (
     App,
     Lam,
@@ -26,7 +31,7 @@ from yflow.terms import (
     contains_y,
     y_types,
 )
-from yflow.types import GROUND, Arrow
+from yflow.types import GROUND, Arrow, type_to_str
 
 SEED = 20260815
 
@@ -55,6 +60,45 @@ _HANDCRAFTED_Y = [
     parse_term(r"(\h:o->o. \x:o. h x) (Y{o->o} (\f:o->o. \y:o. y))"),
     HNF_NOT_NF_WITNESS,
 ]
+
+
+_SPELLED = {name: f"({term_to_str(extended_poly(poly, O))})"
+            for name, poly in [("IFZ", "ifzero"), ("SUCC", "succ"), ("ADD", "add")]}
+
+
+def spell(text: str) -> Term:
+    """Parse text in which W, IFZ, SUCC and ADD stand for the numeral type
+    and the extended_poly combinators at o."""
+    for name, combinator in _SPELLED.items():
+        text = text.replace(name, combinator)
+    return parse_term(text.replace("W", f"({type_to_str(W)})"))
+
+
+HIGHER_Y_CORPUS = [spell(text) for text in [
+    # at W
+    r"Y{W} (\r:W. #2{o})",
+    r"Y{W} (\r:W. ADD #1{o} #2{o})",
+    r"Y{W} (\r:W. IFZ #0{o} #2{o} (SUCC r))",
+    r"(\n:W. Y{W} (\r:W. IFZ n #3{o} r)) #0{o}",
+    r"(\p:o->o->o. Y{W} (\r:W. #1{o})) (Y{o->o->o} (\f:o->o->o. f))",
+    r"Y{W} (\r:W. r)",
+    r"Y{W} (\r:W. SUCC r)",
+    r"Y{W} (\r:W. IFZ #1{o} #2{o} (SUCC r))",
+    r"(\n:W. Y{W} (\r:W. IFZ n #3{o} r)) #1{o}",
+    # at o -> o -> o
+    r"Y{o->o->o} (\f:o->o->o. \x:o. \y:o. x)",
+    r"\a:o. Y{o->o->o} (\f:o->o->o. \x:o. \y:o. a)",
+    r"Y{o->o->o} (\f:o->o->o. \x:o. \y:o. (\u:o. y) (f y x))",
+    r"Y{o->o->o} (\f:o->o->o. \x:o. \y:o. f y x)",
+    r"Y{o->o->o} (\f:o->o->o. f)",
+    r"\h:o->o. Y{o->o->o} (\f:o->o->o. \x:o. \y:o. h (f y x))",
+    # at (o -> o) -> o
+    r"\z:o. Y{(o->o)->o} (\F:(o->o)->o. \g:o->o. g z)",
+    r"\z:o. Y{(o->o)->o} (\F:(o->o)->o. \g:o->o. (\u:o. g z) (F g))",
+    r"Y{(o->o)->o} (\F:(o->o)->o. F)",
+    r"Y{(o->o)->o} (\F:(o->o)->o. \g:o->o. g (F g))",
+    r"\z:o. Y{(o->o)->o} (\F:(o->o)->o. \g:o->o. F (\y:o. g z))",
+]]
 
 
 def _endo(rng: random.Random, depth: int) -> Term:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from term_corpus import HNF_NOT_NF_WITNESS, lambda_y_corpus
+from term_corpus import HIGHER_Y_CORPUS, HNF_NOT_NF_WITNESS, lambda_y_corpus, spell
 from yflow.analysis import (
     certified_normalize,
     has_head_normal_form,
@@ -16,7 +16,7 @@ from yflow.parser import parse_term
 from yflow.printer import term_to_str
 from yflow.reduction import assured_normalize, classify_properness, long_normal_form
 from yflow.terms import (
-    TypingError, contains_omega, contains_y, church_numeral, type_of, y_truncate)
+    TypingError, contains_omega, contains_y, church_numeral, type_of, y_truncate, y_types)
 from yflow.types import GROUND, Arrow
 
 O = GROUND
@@ -86,6 +86,34 @@ def test_verdicts_agree_with_reduction_on_corpus():
         else:
             lnf = long_normal_form(tilde_Y(t))
             assert not classify_properness(lnf), term_to_str(t)
+
+
+def test_verdicts_agree_with_reduction_beyond_o_and_o_to_o():
+    seen = set()
+    for t in HIGHER_Y_CORPUS:
+        report = has_normal_form(t)
+        hnf = has_head_normal_form(t).verdict
+        if report.verdict:
+            assert certified_normalize(t, report) == assured_normalize(t), term_to_str(t)
+            assert hnf, term_to_str(t)
+        else:
+            assert not classify_properness(long_normal_form(tilde_Y(t))), term_to_str(t)
+        seen |= {(ty, report.verdict) for ty in y_types(t)}
+    W = Arrow(OO, OO)
+    for ty in (W, Arrow(O, OO), Arrow(OO, O)):
+        assert {(ty, True), (ty, False)} <= seen, ty
+
+
+def test_anchor_terms_nested3_and_swap3():
+    nested3 = spell(
+        r"\n:W. Y{W->W} (\f:W->W. \x:W. Y{W->W} (\g:W->W. \y:W. "
+        r"IFZ y (f x) (g (f y))) (IFZ x n (f (ADD x n)))) n")
+    swap3 = spell(
+        r"Y{W->W->W} (\f:W->W->W. \x:W. \y:W. IFZ x y (f y (SUCC x))) #2{o} #1{o}")
+    assert not has_normal_form(nested3).verdict
+    assert has_head_normal_form(nested3).verdict
+    assert not has_normal_form(swap3).verdict
+    assert not has_head_normal_form(swap3).verdict
 
 
 def test_nf_implies_hnf_on_corpus():

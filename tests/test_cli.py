@@ -32,6 +32,22 @@ def test_parse(run):
     assert r.exit_code == 0 and r.output == "\\x:o. x\n"
 
 
+def test_invocations_release_their_output_streams(run):
+    # click.echo's per-stream cache used to keep every captured stdout alive
+    import gc
+    import io
+
+    def live_text_streams():
+        gc.collect()
+        return sum(isinstance(o, io.TextIOWrapper) for o in gc.get_objects())
+
+    run("parse", "#1{o}")
+    before = live_text_streams()
+    for _ in range(20):
+        assert run("parse", "#1{o}").exit_code == 0
+    assert live_text_streams() - before < 5
+
+
 def test_parse_json(run):
     r = run("parse", "--json", "#2{o}")
     rec = json.loads(r.output)

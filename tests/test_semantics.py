@@ -268,6 +268,17 @@ def test_probe_and_test_elements_are_monotone():
         assert is_monotone_element(head_test_t(ty))
 
 
+def test_forcing_replaces_the_closure():
+    calls = []
+    el = Element(OO, lambda x: calls.append(x) or x)
+    el.mask()
+    forced = len(calls)
+    assert el._fn is None
+    for x in enumerate_domain(O).elements:
+        assert el.apply(x) == x
+    assert len(calls) == forced
+
+
 def test_eval_requires_closed_or_env():
     from yflow.terms import TypingError, Var
 
