@@ -134,7 +134,7 @@ def _echo_term(t, no_sugar: bool, as_json: bool) -> None:
 
 
 @click.group()
-@click.option("--size-limit", type=int, envvar="YFLOW_SIZE_LIMIT", default=None,
+@click.option("--size-limit", type=click.IntRange(min=2), envvar="YFLOW_SIZE_LIMIT", default=None,
               metavar="N", help="Domain enumeration bound for this invocation "
               "(env YFLOW_SIZE_LIMIT).")
 def main(size_limit):
@@ -178,7 +178,7 @@ def typecheck_cmd(term_text, file, as_json):
 
 @main.command("normalize")
 @term_options
-@click.option("--fuel", type=int, default=DEFAULT_FUEL, show_default=True,
+@click.option("--fuel", type=click.IntRange(min=0), default=DEFAULT_FUEL, show_default=True,
               help="Reduction step budget.")
 @click.option("--strategy", type=click.Choice(sorted(STRATEGIES)),
               default="normal-order", show_default=True)

@@ -2,43 +2,40 @@
 
 Abstraction bodies extend right, application is left associative, and
 parentheses are minimal.  Subterms that are literally Church numerals
-print as #m{t} unless sugar is disabled.
+print as #m{t} unless sugar is disabled.  Rendering is a fold over
+(text, precedence) pairs, so term depth costs no Python frames.
 """
 
 from __future__ import annotations
 
-from .terms import App, Lam, OmegaConst, Term, Var, YConst, match_numeral
+from .terms import OmegaConst, Term, Var, YConst, fold, match_numeral
 from .types import type_to_str
 
 _LAM, _APP, _ATOM = 0, 1, 2
 
 
 def term_to_str(t: Term, sugar: bool = True) -> str:
-    return _render(t, _LAM, sugar)
+    # With sugar, a numeral goes to _leaf whole: nothing below it is rendered.
+    stop_at_numerals = (lambda s, _: None if match_numeral(s) else True) if sugar else None
+    return fold(t, _leaf, lambda s, body: (f"\\{s.var}:{type_to_str(s.var_ty)}. {body[0]}", _LAM),
+                _app, stop_at_numerals)[0]
 
 
-def _render(t: Term, level: int, sugar: bool) -> str:
-    if sugar:
-        hit = match_numeral(t)
-        if hit is not None:
-            m, alpha = hit
-            return f"#{m}{{{type_to_str(alpha)}}}"
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, OmegaConst):
-        return f"Omega{{{type_to_str(t.ty)}}}"
-    if isinstance(t, YConst):
-        return f"Y{{{type_to_str(t.ty)}}}"
-    if isinstance(t, Lam):
-        body = _render(t.body, _LAM, sugar)
-        text = f"\\{t.var}:{type_to_str(t.var_ty)}. {body}"
-        return text if level <= _LAM else f"({text})"
-    if isinstance(t, App):
-        fun = _render(t.fun, _APP, sugar)
-        arg = _render(t.arg, _ATOM, sugar)
-        text = f"{fun} {arg}"
-        return text if level <= _APP else f"({text})"
-    raise TypeError(f"not a term: {t!r}")
+def _leaf(s: Term, _env) -> tuple[str, int]:
+    if isinstance(s, Var):
+        return s.name, _ATOM
+    if isinstance(s, OmegaConst):
+        return f"Omega{{{type_to_str(s.ty)}}}", _ATOM
+    if isinstance(s, YConst):
+        return f"Y{{{type_to_str(s.ty)}}}", _ATOM
+    m, alpha = match_numeral(s)  # an abstraction only when it is a numeral
+    return f"#{m}{{{type_to_str(alpha)}}}", _ATOM
+
+
+def _app(_s, fun: tuple[str, int], arg: tuple[str, int]) -> tuple[str, int]:
+    fun_text = fun[0] if fun[1] >= _APP else f"({fun[0]})"
+    arg_text = arg[0] if arg[1] >= _ATOM else f"({arg[0]})"
+    return f"{fun_text} {arg_text}", _APP
 
 
 __all__ = ["term_to_str"]

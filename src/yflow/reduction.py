@@ -4,13 +4,18 @@ Rules: beta, eta contraction, and unfolding of the fixed-point constant
 (Y f -> f (Y f)).  The default strategy contracts the leftmost-outermost
 redex, which reaches a normal form whenever one exists; an innermost
 strategy is kept alongside for cross-checking confluence on terms
-without fixed points.  Normalization is a total function returning an
-outcome value: fuel exhaustion is data, not an error.
+without fixed points.  Both are one search on an explicit stack, which
+visits subterms left to right in preorder (outermost) or postorder
+(innermost) and stops at the first redex.  Normalization is a total
+function returning an outcome value: fuel exhaustion is data, not an
+error.
 
 Terms without Y constants are strongly normalizing, so assured_normalize
 (restart with doubled fuel) always terminates on them.  The eta-long
 form of such a term is computed by beta-eta-normalizing and then fully
-expanding every head; properness classification and bottom elimination
+expanding every head, again on a stack; a term is long exactly when that
+expansion leaves it as it is.  Properness classification (the same
+search, stopping at the first bottom constant) and bottom elimination
 operate on these long forms.
 """
 
@@ -69,64 +74,78 @@ class FuelExhausted:
 NormalizationOutcome = Normal | FuelExhausted
 
 
-def _eta_contractum(t: Lam) -> Term | None:
-    b = t.body
-    if (
-        isinstance(b, App)
-        and isinstance(b.arg, Var)
-        and b.arg.name == t.var
-        and b.arg.ty == t.var_ty
-        and t.var not in free_vars(b.fun)
-    ):
-        return b.fun
+def _contractum(s: Term) -> Term | None:
+    """What s contracts to when s itself is a redex, else None."""
+    if isinstance(s, App):
+        if isinstance(s.fun, Lam):
+            return _subst(s.fun.body, Var(s.fun.var, s.fun.var_ty), s.arg)
+        if isinstance(s.fun, YConst):
+            return App(s.arg, s)
+    elif isinstance(s, Lam):
+        b = s.body
+        if (
+            isinstance(b, App)
+            and isinstance(b.arg, Var)
+            and b.arg.name == s.var
+            and b.arg.ty == s.var_ty
+            and s.var not in free_vars(b.fun)
+        ):
+            return b.fun
     return None
+
+
+def _search(t: Term, probe, postorder: bool):
+    """(probe(s), path) for the first subterm s of t, left to right in
+    preorder or in postorder, where probe(s) is not None; else None.
+
+    The explicit stack is the path itself: the (node, step) pairs from t
+    down to s, where step names the field of node leading towards s.
+    """
+    path: list[tuple[Term, str]] = []
+    s = t
+    while True:
+        if not postorder and (hit := probe(s)) is not None:
+            return hit, path
+        if isinstance(s, App):
+            path.append((s, "fun"))
+            s = s.fun
+        elif isinstance(s, Lam):
+            path.append((s, "body"))
+            s = s.body
+        else:  # climb from a leaf to the next argument to the right
+            while True:
+                if postorder and (hit := probe(s)) is not None:
+                    return hit, path
+                if not path:
+                    return None
+                s, step = path.pop()
+                if step == "fun":
+                    path.append((s, "arg"))
+                    s = s.arg
+                    break
+
+
+def _step(t: Term, innermost: bool) -> Term | None:
+    found = _search(t, _contractum, innermost)
+    if found is None:
+        return None
+    out, path = found
+    for node, step in reversed(path):
+        if step == "body":
+            out = Lam(node.var, node.var_ty, out)
+        else:
+            out = App(out, node.arg) if step == "fun" else App(node.fun, out)
+    return out
 
 
 def step_normal_order(t: Term) -> Term | None:
     """Contract the leftmost-outermost redex, or None if t is normal."""
-    if isinstance(t, App):
-        if isinstance(t.fun, Lam):
-            return _subst(t.fun.body, Var(t.fun.var, t.fun.var_ty), t.arg)
-        if isinstance(t.fun, YConst):
-            return App(t.arg, t)
-        s = step_normal_order(t.fun)
-        if s is not None:
-            return App(s, t.arg)
-        s = step_normal_order(t.arg)
-        if s is not None:
-            return App(t.fun, s)
-        return None
-    if isinstance(t, Lam):
-        contractum = _eta_contractum(t)
-        if contractum is not None:
-            return contractum
-        s = step_normal_order(t.body)
-        if s is not None:
-            return Lam(t.var, t.var_ty, s)
-        return None
-    return None
+    return _step(t, innermost=False)
 
 
 def step_innermost(t: Term) -> Term | None:
     """Contract the leftmost-innermost redex, or None if t is normal."""
-    if isinstance(t, App):
-        s = step_innermost(t.fun)
-        if s is not None:
-            return App(s, t.arg)
-        s = step_innermost(t.arg)
-        if s is not None:
-            return App(t.fun, s)
-        if isinstance(t.fun, Lam):
-            return _subst(t.fun.body, Var(t.fun.var, t.fun.var_ty), t.arg)
-        if isinstance(t.fun, YConst):
-            return App(t.arg, t)
-        return None
-    if isinstance(t, Lam):
-        s = step_innermost(t.body)
-        if s is not None:
-            return Lam(t.var, t.var_ty, s)
-        return _eta_contractum(t)
-    return None
+    return _step(t, innermost=True)
 
 
 STRATEGIES = {
@@ -194,56 +213,52 @@ def long_normal_form(t: Term, context=None) -> Term:
 
 
 def _expand(t: Term, ty: SimpleType, used: set[str]) -> Term:
-    args = argument_types(ty)
-    binders: list[tuple[str, SimpleType]] = []
-    body = t
-    for a in args:
-        if isinstance(body, Lam):
-            binders.append((body.var, body.var_ty))
-            body = body.body
-        else:
-            name = fresh_name(f"e{len(binders) + 1}", used)
-            used.add(name)
-            binders.append((name, a))
-            body = App(body, Var(name, a))
-    head, spine = unwind_spine(body)
-    if isinstance(head, Var):
-        head_ty = head.ty
-    elif isinstance(head, OmegaConst):
-        head_ty = head.ty
-    else:
-        raise AssertionError(f"unexpected head in a beta-normal spine: {head!r}")
-    expected = argument_types(head_ty)
-    assert len(expected) == len(spine), "ground spine must be fully applied"
-    body = head
-    for arg, arg_ty in zip(spine, expected):
-        body = App(body, _expand(arg, arg_ty, used))
-    for name, a in reversed(binders):
-        body = Lam(name, a, body)
-    return body
+    """Eta-expand the beta-normal t of type ty, drawing new binders e1, e2,
+    ... (not in used) in preorder; ValueError on a spine headed by a redex."""
+    out: list[Term] = []
+    # (term, type) pairs to expand, and the build marks of terms._subst.
+    todo: list = [(t, ty)]
+    while todo:
+        item = todo.pop()
+        if item is None:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+            continue
+        body, body_ty = item
+        if isinstance(body, str):  # an abstraction mark
+            out[-1] = Lam(body, body_ty, out[-1])
+            continue
+        binders = []
+        for a in argument_types(body_ty):
+            if isinstance(body, Lam):
+                binders.append((body.var, body.var_ty))
+                body = body.body
+            else:
+                name = fresh_name(f"e{len(binders) + 1}", used)
+                used.add(name)
+                binders.append((name, a))
+                body = App(body, Var(name, a))
+        head, spine = unwind_spine(body)
+        if not isinstance(head, (Var, OmegaConst)):
+            raise ValueError(f"not beta-normal: a spine has head {head!r}")
+        expected = argument_types(head.ty)
+        assert len(expected) == len(spine), "ground spine must be fully applied"
+        out.append(head)
+        todo += binders
+        for arg, arg_ty in reversed(list(zip(spine, expected))):
+            todo += (None, (arg, arg_ty))
+    return out[0]
 
 
 def is_long_normal(t: Term, context=None) -> bool:
-    """Structural check for eta-long beta-normal shape (Y-free terms)."""
+    """Whether t is Y-free and eta-long beta-normal: _expand leaves it as it is."""
     if contains_y(t):
         return False
     ty = type_of(t, context)
-
-    def check(s: Term, expect: SimpleType) -> bool:
-        for a in argument_types(expect):
-            if not (isinstance(s, Lam) and s.var_ty == a):
-                return False
-            s = s.body
-        head, spine = unwind_spine(s)
-        if isinstance(head, (Var, OmegaConst)):
-            expected = argument_types(head.ty)
-        else:
-            return False
-        if len(spine) != len(expected):
-            return False
-        return all(check(arg, arg_ty) for arg, arg_ty in zip(spine, expected))
-
-    return check(t, ty)
+    try:
+        return _expand(t, ty, set()) == t  # names are drawn only if t is not long
+    except ValueError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -275,17 +290,8 @@ def classify_properness(t: Term, context=None) -> Properness:
     if not is_long_normal(t, context):
         raise ValueError("classify_properness requires a long beta-eta normal form")
 
-    def find(s: Term, path: tuple[str, ...]):
-        if isinstance(s, OmegaConst):
-            return path
-        if isinstance(s, Lam):
-            return find(s.body, path + ("body",))
-        if isinstance(s, App):
-            return find(s.fun, path + ("fun",)) or find(s.arg, path + ("arg",))
-        return None
-
-    hit = find(t, ())
-    return Proper() if hit is None else Improper(hit)
+    found = _search(t, lambda s: isinstance(s, OmegaConst) or None, postorder=False)
+    return Proper() if found is None else Improper(tuple(step for _, step in found[1]))
 
 
 def _numeral_chain(ty: SimpleType, numeral_args: int | None):

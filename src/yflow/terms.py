@@ -9,6 +9,12 @@ fragment; Y admits the unfolding rule Y f -> f (Y f).
 Equality and hashing are alpha equivalence: bound variables are compared
 by binder position, free variables and constants by name and type.  The
 surface names are kept for printing and survive serialization unchanged.
+
+Terms are as deep as the numerals they compute, so no walker spends a
+Python frame per nesting level.  fold is the one post-order traversal,
+on an explicit stack; alpha keys, typing, leaf mapping, the tagged tree
+and the printer are folds.  free_vars, substitution (the normalizer's
+inner loop) and tree_to_term have stack loops of their own.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from .types import (
     Arrow,
     SimpleType,
     argument_types,
-    arrow,
     numeral_type,
     type_to_str,
 )
@@ -44,13 +49,10 @@ class Term:
 
     @cached_property
     def _alpha(self):
-        return _alpha_key(self, {}, 0)
+        return _alpha_key(self)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Term) and self._alpha == other._alpha
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __hash__(self) -> int:
         return hash(self._alpha)
@@ -97,23 +99,60 @@ class YConst(Term):
     ty: SimpleType
 
 
-def _alpha_key(t: Term, binders: dict, depth: int):
-    if isinstance(t, Var):
-        bound = binders.get(t.name)
-        if bound is not None:
-            return ("b", depth - bound - 1)
-        return ("f", t.name, t.ty)
-    if isinstance(t, Lam):
-        inner = dict(binders)
-        inner[t.var] = depth
-        return ("l", t.var_ty, _alpha_key(t.body, inner, depth + 1))
-    if isinstance(t, App):
-        return ("a", _alpha_key(t.fun, binders, depth), _alpha_key(t.arg, binders, depth))
-    if isinstance(t, OmegaConst):
-        return ("o", t.ty)
-    if isinstance(t, YConst):
-        return ("y", t.ty)
-    raise TypeError(f"not a term: {t!r}")
+_FOLDED = object()  # stack mark: the node's children are folded
+
+
+def fold(t: Term, leaf: Callable, lam: Callable, app: Callable,
+         bind: Callable | None = None, env=None):
+    """Post-order fold of t on an explicit stack, children left to right.
+
+    leaf(s, env) is the value of a variable or constant s; lam(s, body)
+    and app(s, fun, arg) build an abstraction's and an application's from
+    their children's.  bind(s, env) turns env, the environment at t, into
+    the one inside abstraction s; when it returns None, leaf takes s and
+    its body is not visited.  Anything else in t raises TypeError.
+    """
+    values: list = []
+    stack: list = [(t, env)]
+    while stack:
+        s, e = stack.pop()
+        if e is _FOLDED:
+            if isinstance(s, Lam):
+                values[-1] = lam(s, values[-1])
+            else:
+                arg = values.pop()
+                values[-1] = app(s, values[-1], arg)
+            continue
+        while True:  # down the leftmost path; the rest waits on the stack
+            if isinstance(s, App):
+                stack += ((s, _FOLDED), (s.arg, e))
+                s = s.fun
+            elif isinstance(s, Lam) and (bind is None or (inner := bind(s, e)) is not None):
+                stack.append((s, _FOLDED))
+                s, e = s.body, e if bind is None else inner
+            else:
+                break
+        if not isinstance(s, (Var, OmegaConst, YConst, Lam)):  # a Lam here was cut
+            raise TypeError(f"not a term: {s!r}")
+        values.append(leaf(s, e))
+    return values[0]
+
+
+def _alpha_key(t: Term) -> tuple:
+    """t's alpha-invariant tokens in post-order, bound variables as de
+    Bruijn indices; flat, so deep terms compare and hash iteratively."""
+    tokens: list = []
+
+    def leaf(s: Term, env) -> None:
+        if isinstance(s, Var):
+            bound = env[0].get(s.name)
+            tokens.append(("f", s.name, s.ty) if bound is None else ("b", env[1] - bound - 1))
+        else:
+            tokens.append(("o" if isinstance(s, OmegaConst) else "y", s.ty))
+
+    fold(t, leaf, lambda s, _: tokens.append(("l", s.var_ty)), lambda *_: tokens.append("a"),
+         lambda s, env: ({**env[0], s.var: env[1]}, env[1] + 1), ({}, 0))
+    return tuple(tokens)
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -132,18 +171,20 @@ def subterms(t: Term) -> Iterator[Term]:
 def free_vars(t: Term) -> dict[str, SimpleType]:
     """Free variable names with their carried types."""
     out: dict[str, SimpleType] = {}
-
-    def walk(s: Term, bound: frozenset[str]):
-        if isinstance(s, Var):
-            if s.name not in bound:
-                out[s.name] = s.ty
-        elif isinstance(s, Lam):
-            walk(s.body, bound | {s.var})
-        elif isinstance(s, App):
-            walk(s.fun, bound)
-            walk(s.arg, bound)
-
-    walk(t, frozenset())
+    stack: list[tuple[Term, frozenset[str]]] = [(t, frozenset())]
+    while stack:
+        s, bound = stack.pop()
+        while True:  # down the leftmost path; arguments wait on the stack
+            if isinstance(s, App):
+                stack.append((s.arg, bound))
+                s = s.fun
+            elif isinstance(s, Lam):
+                bound = bound | {s.var}
+                s = s.body
+            else:
+                if isinstance(s, Var) and s.name not in bound:
+                    out[s.name] = s.ty
+                break
     return out
 
 
@@ -187,11 +228,9 @@ def type_of(t: Term, context: Mapping[str, SimpleType] | None = None) -> SimpleT
     Every variable occurrence carries a type; it must agree with the
     innermost binder of that name, or with the context for free names.
     """
-    ctx: dict[str, SimpleType] = dict(context) if context else {}
-
-    def walk(s: Term, env: dict[str, SimpleType]) -> SimpleType:
+    def leaf(s: Term, env: dict[str, SimpleType]) -> SimpleType:
         if isinstance(s, Var):
-            declared = env.get(s.name, ctx.get(s.name))
+            declared = env.get(s.name)
             if declared is None:
                 raise TypingError(f"unbound variable {s.name}", s)
             if declared != s.ty:
@@ -199,27 +238,21 @@ def type_of(t: Term, context: Mapping[str, SimpleType] | None = None) -> SimpleT
                     f"variable {s.name} carries type {s.ty} but is bound at {declared}", s
                 )
             return s.ty
-        if isinstance(s, Lam):
-            inner = dict(env)
-            inner[s.var] = s.var_ty
-            return Arrow(s.var_ty, walk(s.body, inner))
-        if isinstance(s, App):
-            fun_ty = walk(s.fun, env)
-            arg_ty = walk(s.arg, env)
-            if not isinstance(fun_ty, Arrow):
-                raise TypingError(f"applied term has ground type {fun_ty}", s)
-            if fun_ty.domain != arg_ty:
-                raise TypingError(
-                    f"argument type {arg_ty} does not match domain {fun_ty.domain}", s
-                )
-            return fun_ty.codomain
         if isinstance(s, OmegaConst):
             return s.ty
-        if isinstance(s, YConst):
-            return Arrow(Arrow(s.ty, s.ty), s.ty)
-        raise TypeError(f"not a term: {s!r}")
+        return Arrow(Arrow(s.ty, s.ty), s.ty)
 
-    return walk(t, {})
+    def app(s: App, fun_ty: SimpleType, arg_ty: SimpleType) -> SimpleType:
+        if not isinstance(fun_ty, Arrow):
+            raise TypingError(f"applied term has ground type {fun_ty}", s)
+        if fun_ty.domain != arg_ty:
+            raise TypingError(
+                f"argument type {arg_ty} does not match domain {fun_ty.domain}", s
+            )
+        return fun_ty.codomain
+
+    return fold(t, leaf, lambda s, body_ty: Arrow(s.var_ty, body_ty), app,
+                lambda s, env: {**env, s.var: s.var_ty}, dict(context) if context else {})
 
 
 def church_numeral(m: int, alpha: SimpleType) -> Term:
@@ -245,7 +278,8 @@ def match_numeral(t: Term) -> tuple[int, SimpleType] | None:
     m = 0
     # With equal binder names the outer one is shadowed, so only m = 0 can match.
     f_visible = f.var != inner.var
-    while f_visible and isinstance(body, App) and body.fun == Var(f.var, f.var_ty):
+    while (f_visible and isinstance(body, App) and isinstance(body.fun, Var)
+           and body.fun.name == f.var and body.fun.ty == f.var_ty):
         m += 1
         body = body.arg
     if body == Var(inner.var, alpha):
@@ -267,27 +301,32 @@ def substitute(t: Term, var: Var, replacement: Term,
 
 def _subst(t: Term, var: Var, replacement: Term) -> Term:
     repl_free = set(free_vars(replacement))
-
-    def walk(s: Term) -> Term:
-        if isinstance(s, Var):
-            if s.name == var.name:
-                if s.ty != var.ty:
-                    raise TypingError(f"occurrence of {s.name} has type {s.ty}", s)
-                return replacement
-            return s
-        if isinstance(s, Lam):
-            if s.var == var.name:
-                return s
-            if s.var in repl_free and var.name in free_vars(s.body):
-                renamed = fresh_name(s.var, repl_free | all_names(s.body) | {var.name})
-                body = _subst(s.body, Var(s.var, s.var_ty), Var(renamed, s.var_ty))
-                return Lam(renamed, s.var_ty, walk(body))
-            return Lam(s.var, s.var_ty, walk(s.body))
+    out: list[Term] = []
+    # Terms to visit, and marks that build a node from the terms on out:
+    # None for an application, (binder, type) for an abstraction.
+    stack: list = [t]
+    while stack:
+        s = stack.pop()
         if isinstance(s, App):
-            return App(walk(s.fun), walk(s.arg))
-        return s
-
-    return walk(t)
+            stack += (None, s.arg, s.fun)
+        elif isinstance(s, Lam) and s.var != var.name:
+            name, body = s.var, s.body
+            if name in repl_free and var.name in free_vars(body):
+                name = fresh_name(name, repl_free | all_names(body) | {var.name})
+                body = _subst(body, Var(s.var, s.var_ty), Var(name, s.var_ty))
+            stack += ((name, s.var_ty), body)
+        elif isinstance(s, Var) and s.name == var.name:
+            if s.ty != var.ty:
+                raise TypingError(f"occurrence of {s.name} has type {s.ty}", s)
+            out.append(replacement)
+        elif isinstance(s, Term):
+            out.append(s)
+        elif s is None:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+        else:
+            out[-1] = Lam(s[0], s[1], out[-1])
+    return out[0]
 
 
 def map_leaves(t: Term, fn: Callable[[Term], Term]) -> Term:
@@ -296,11 +335,8 @@ def map_leaves(t: Term, fn: Callable[[Term], Term]) -> Term:
     Binders are kept as they are: the terms fn returns are not renamed,
     so their free variables are bound by the binders above the leaf.
     """
-    if isinstance(t, Lam):
-        return Lam(t.var, t.var_ty, map_leaves(t.body, fn))
-    if isinstance(t, App):
-        return App(map_leaves(t.fun, fn), map_leaves(t.arg, fn))
-    return fn(t)
+    return fold(t, lambda s, _: fn(s), lambda s, body: Lam(s.var, s.var_ty, body),
+                lambda _, fun, arg: App(fun, arg))
 
 
 def omega_tilde(ty: SimpleType) -> Term:
@@ -352,42 +388,44 @@ def y_truncate(t: Term, depths: Mapping[SimpleType, int]) -> Term:
 # variable names are preserved so the round trip is bit exact.
 
 def term_to_tree(t: Term) -> dict:
-    if isinstance(t, Var):
-        return {"kind": "var", "name": t.name, "type": type_to_str(t.ty), "children": []}
-    if isinstance(t, Lam):
-        return {
-            "kind": "lam",
-            "name": t.var,
-            "type": type_to_str(t.var_ty),
-            "children": [term_to_tree(t.body)],
-        }
-    if isinstance(t, App):
-        return {"kind": "app", "children": [term_to_tree(t.fun), term_to_tree(t.arg)]}
-    if isinstance(t, OmegaConst):
-        return {"kind": "omega", "type": type_to_str(t.ty), "children": []}
-    if isinstance(t, YConst):
-        return {"kind": "y", "type": type_to_str(t.ty), "children": []}
-    raise TypeError(f"not a term: {t!r}")
+    def leaf(s: Term, _env) -> dict:
+        if isinstance(s, Var):
+            return {"kind": "var", "name": s.name, "type": type_to_str(s.ty), "children": []}
+        kind = "omega" if isinstance(s, OmegaConst) else "y"
+        return {"kind": kind, "type": type_to_str(s.ty), "children": []}
+
+    return fold(t, leaf, lambda s, body: {"kind": "lam", "name": s.var,
+                                          "type": type_to_str(s.var_ty), "children": [body]},
+                lambda _, fun, arg: {"kind": "app", "children": [fun, arg]})
 
 
 def tree_to_term(tree: dict) -> Term:
     from .parser import parse_type
 
-    kind = tree["kind"]
-    children = tree.get("children", [])
-    if kind == "var":
-        return Var(tree["name"], parse_type(tree["type"]))
-    if kind == "lam":
-        (body,) = children
-        return Lam(tree["name"], parse_type(tree["type"]), tree_to_term(body))
-    if kind == "app":
-        fun, arg = children
-        return App(tree_to_term(fun), tree_to_term(arg))
-    if kind == "omega":
-        return OmegaConst(parse_type(tree["type"]))
-    if kind == "y":
-        return YConst(parse_type(tree["type"]))
-    raise ValueError(f"unknown node kind {kind!r}")
+    out: list[Term] = []
+    stack: list = [tree]  # nodes, and build marks as in _subst
+    while stack:
+        node = stack.pop()
+        if node is None:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+        elif isinstance(node, tuple):
+            out[-1] = Lam(node[0], node[1], out[-1])
+        elif node["kind"] == "var":
+            out.append(Var(node["name"], parse_type(node["type"])))
+        elif node["kind"] == "lam":
+            (body,) = node.get("children", [])
+            stack += ((node["name"], parse_type(node["type"])), body)
+        elif node["kind"] == "app":
+            fun, arg = node.get("children", [])
+            stack += (None, arg, fun)
+        elif node["kind"] == "omega":
+            out.append(OmegaConst(parse_type(node["type"])))
+        elif node["kind"] == "y":
+            out.append(YConst(parse_type(node["type"])))
+        else:
+            raise ValueError(f"unknown node kind {node['kind']!r}")
+    return out[0]
 
 
 def term_to_json(t: Term) -> str:
@@ -410,6 +448,7 @@ __all__ = [
     "church_numeral",
     "contains_omega",
     "contains_y",
+    "fold",
     "free_vars",
     "fresh_name",
     "map_leaves",

@@ -6,6 +6,10 @@ space, and chain lengths by exhaustive longest-path search over the
 strict order.  Everything is exponential and only usable at the small
 types the tests feed it, which is the point: simple enough to audit by
 eye, computed by a different route than the code under test.
+
+The reduction oracles at the end are the plain recursive walkers that
+yflow.reduction replaced with one explicit-stack search: they spend a
+Python frame per nesting level, so they only serve shallow terms.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 
-from yflow.types import Arrow, Ground, SimpleType
+from yflow.reduction import unwind_spine
+from yflow.terms import App, Lam, OmegaConst, Term, Var, YConst, _subst, free_vars
+from yflow.types import Arrow, Ground, SimpleType, argument_types
 
 
 @cache
@@ -69,3 +75,79 @@ def oracle_apply(ty: SimpleType, f, a):
     """Apply an oracle arrow element to an oracle argument element."""
     dom = oracle_elements(ty.domain)
     return f[dom.index(a)]
+
+
+def _oracle_eta_contractum(t: Lam) -> Term | None:
+    b = t.body
+    if (
+        isinstance(b, App)
+        and isinstance(b.arg, Var)
+        and b.arg.name == t.var
+        and b.arg.ty == t.var_ty
+        and t.var not in free_vars(b.fun)
+    ):
+        return b.fun
+    return None
+
+
+def oracle_step_normal_order(t: Term) -> Term | None:
+    """Contract the leftmost-outermost redex, or None if t is normal."""
+    if isinstance(t, App):
+        if isinstance(t.fun, Lam):
+            return _subst(t.fun.body, Var(t.fun.var, t.fun.var_ty), t.arg)
+        if isinstance(t.fun, YConst):
+            return App(t.arg, t)
+        s = oracle_step_normal_order(t.fun)
+        if s is not None:
+            return App(s, t.arg)
+        s = oracle_step_normal_order(t.arg)
+        if s is not None:
+            return App(t.fun, s)
+        return None
+    if isinstance(t, Lam):
+        contractum = _oracle_eta_contractum(t)
+        if contractum is not None:
+            return contractum
+        s = oracle_step_normal_order(t.body)
+        if s is not None:
+            return Lam(t.var, t.var_ty, s)
+        return None
+    return None
+
+
+def oracle_step_innermost(t: Term) -> Term | None:
+    """Contract the leftmost-innermost redex, or None if t is normal."""
+    if isinstance(t, App):
+        s = oracle_step_innermost(t.fun)
+        if s is not None:
+            return App(s, t.arg)
+        s = oracle_step_innermost(t.arg)
+        if s is not None:
+            return App(t.fun, s)
+        if isinstance(t.fun, Lam):
+            return _subst(t.fun.body, Var(t.fun.var, t.fun.var_ty), t.arg)
+        if isinstance(t.fun, YConst):
+            return App(t.arg, t)
+        return None
+    if isinstance(t, Lam):
+        s = oracle_step_innermost(t.body)
+        if s is not None:
+            return Lam(t.var, t.var_ty, s)
+        return _oracle_eta_contractum(t)
+    return None
+
+
+def oracle_is_long_shape(s: Term, expect: SimpleType) -> bool:
+    """Structural check for eta-long beta-normal shape at type expect."""
+    for a in argument_types(expect):
+        if not (isinstance(s, Lam) and s.var_ty == a):
+            return False
+        s = s.body
+    head, spine = unwind_spine(s)
+    if isinstance(head, (Var, OmegaConst)):
+        expected = argument_types(head.ty)
+    else:
+        return False
+    if len(spine) != len(expected):
+        return False
+    return all(oracle_is_long_shape(arg, arg_ty) for arg, arg_ty in zip(spine, expected))

@@ -223,6 +223,30 @@ def test_size_limit_env(run):
     assert r.exit_code == 2
 
 
+def test_out_of_range_numbers_are_usage_errors(run):
+    for args, env, option in [
+        (["--size-limit", "1", "height", "o"], {}, "--size-limit"),
+        (["height", "o"], {"YFLOW_SIZE_LIMIT": "1"}, "--size-limit"),
+        (["normalize", "--fuel", "-5", r"\x:o. x"], {}, "--fuel"),
+    ]:
+        r = run(*args, env=env)
+        assert r.exit_code == 2, args
+        assert option in r.stderr and "Traceback" not in r.stderr + r.stdout, args
+    assert run("normalize", "--fuel", "0", r"\x:o. x").exit_code == 0
+    r = run("normalize", "--fuel", "0", r"(\x:o. x) Omega{o}")
+    assert r.exit_code == 1 and "fuel exhausted after 0 steps" in r.stderr
+
+
+def test_deep_results_print_as_numerals(run):
+    # #3600 is 3600 applications deep, well past the default recursion limit
+    w = "((o->o)->o->o)"
+    mul = f"(\\m:{w}. \\n:{w}. \\f:o->o. m (n f))"
+    r = run("certify-nf", "--json", f"{mul} #60{{o}} #60{{o}}")
+    assert r.exit_code == 0 and json.loads(r.stdout)["normal_form"] == "#3600{o}"
+    r = run("normalize", "--json", "#2{o->o} #60{o}")
+    assert r.exit_code == 0 and json.loads(r.stdout)["term"] == "#3600{o}"
+
+
 def _write_add_spec(tmp_path):
     p = tmp_path / "add.fn"
     p.write_text(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import oracle_is_long_shape, oracle_step_innermost, oracle_step_normal_order
 from term_corpus import lambda_y_corpus, omega_corpus
 from yflow.parser import parse_term, parse_type
 from yflow.printer import term_to_str
@@ -18,14 +19,30 @@ from yflow.reduction import (
     is_long_normal,
     long_normal_form,
     normalize,
+    step_innermost,
     step_normal_order,
     term_size,
 )
-from yflow.terms import contains_omega, contains_y, church_numeral, subterms, type_of
-from yflow.types import GROUND, Arrow
+from yflow.terms import (
+    App,
+    Lam,
+    Var,
+    church_numeral,
+    contains_omega,
+    contains_y,
+    subterms,
+    type_of,
+    y_tilde,
+)
+from yflow.types import GROUND, Arrow, numeral_type
 
 O = GROUND
 OO = Arrow(O, O)
+W = numeral_type(O)
+
+# Three times the interpreter's default recursion limit, which these
+# tests keep.
+DEEP = 3000
 
 
 def test_beta_step():
@@ -65,6 +82,39 @@ def test_strategies_agree_on_omega_corpus():
         b = normalize(t, strategy="innermost")
         assert isinstance(a, Normal) and isinstance(b, Normal), term_to_str(t)
         assert a.term == b.term, term_to_str(t)
+
+
+def test_steps_match_the_recursive_oracles():
+    # Every Y-free walk ends within 60 steps; Y terms may not terminate,
+    # and past 20 steps their unfoldings make the suite slow.
+    pairs = [(step_normal_order, oracle_step_normal_order),
+             (step_innermost, oracle_step_innermost)]
+    for t in omega_corpus() + lambda_y_corpus():
+        for step, oracle in pairs:
+            s = t
+            for _ in range(20 if contains_y(t) else 60):
+                got, want = step(s), oracle(s)
+                assert (got is None) == (want is None), term_to_str(s)
+                if got is None:
+                    break
+                assert got == want, term_to_str(s)
+                s = got
+            else:
+                assert contains_y(t), term_to_str(t)
+
+
+def test_is_long_normal_matches_the_recursive_oracle():
+    def oracle(t):
+        return not contains_y(t) and oracle_is_long_shape(t, type_of(t, {}))
+
+    corpus = omega_corpus() + lambda_y_corpus()
+    long_forms = [long_normal_form(t) for t in omega_corpus()]
+    enumerated = (enumerate_long_normal_forms(parse_type("(o->o)->o"), 9)
+                  + enumerate_long_normal_forms(parse_type("o->o->o"), 8))
+    for t in corpus + long_forms + enumerated:
+        assert is_long_normal(t) == oracle(t), term_to_str(t)
+    assert all(is_long_normal(t) for t in long_forms + enumerated)
+    assert not all(is_long_normal(t) for t in corpus)
 
 
 def test_normal_forms_are_stable():
@@ -189,3 +239,21 @@ def test_enumeration_budget_is_monotone():
     small = set(enumerate_long_normal_forms(ty, 6))
     large = set(enumerate_long_normal_forms(ty, 9))
     assert small <= large
+
+
+def test_deep_normalize_under_both_strategies():
+    t = App(Lam("x", W, Var("x", W)), church_numeral(DEEP, O))
+    for strategy in ("normal-order", "innermost"):
+        out = normalize(t, strategy=strategy)
+        assert isinstance(out, Normal) and out.steps == 1
+        assert decode_numeral(out.term, O) == DEEP
+
+
+def test_deep_long_forms_and_properness():
+    t = church_numeral(DEEP, O)
+    assert long_normal_form(App(Lam("x", W, Var("x", W)), t)) == t
+    assert is_long_normal(t)
+    assert classify_properness(t) == Proper()
+    bottom = y_tilde(DEEP, O)  # \f. f^DEEP Omega{o}
+    assert long_normal_form(bottom) == bottom
+    assert classify_properness(bottom) == Improper(("body",) + ("arg",) * DEEP)

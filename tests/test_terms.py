@@ -21,16 +21,22 @@ from yflow.terms import (
     substitute,
     term_from_json,
     term_to_json,
+    term_to_tree,
     tilde_omega_map,
+    tree_to_term,
     type_of,
     y_tilde,
     y_truncate,
     y_types,
 )
-from yflow.types import GROUND, Arrow, arrow
+from yflow.types import GROUND, Arrow, arrow, numeral_type
 
 O = GROUND
 OO = Arrow(O, O)
+
+# Five times the interpreter's default recursion limit, which these tests
+# keep: no walker may spend a Python frame per nesting level.
+DEEP = 5000
 
 
 def test_alpha_equality_and_hash():
@@ -153,3 +159,58 @@ def test_json_round_trip():
 def test_json_is_stable():
     t = parse_term(r"\x:o. x")
     assert term_to_json(t) == term_to_json(parse_term(r"\x:o. x"))
+
+
+def _tower(base, f=Var("f", OO)):
+    """f (f (... (f base))) with DEEP applications."""
+    for _ in range(DEEP):
+        base = App(f, base)
+    return base
+
+
+def test_deep_numeral_types_compares_and_hashes():
+    t = church_numeral(DEEP, O)
+    assert type_of(t, {}) == numeral_type(O)
+    renamed = Lam("g", OO, Lam("y", O, _tower(Var("y", O), Var("g", OO))))
+    assert t == renamed and hash(t) == hash(renamed)
+    assert t != Lam("f", OO, Lam("x", O, _tower(OmegaConst(O))))
+
+
+def test_deep_free_vars_and_substitute():
+    body = _tower(Var("x", O))
+    assert free_vars(body) == {"f": OO, "x": O}
+    assert substitute(body, Var("x", O), OmegaConst(O)) == _tower(OmegaConst(O))
+    # the binder x must be renamed, or the free x of the replacement is captured
+    const_x = Lam("y", O, Var("x", O))
+    out = substitute(Lam("x", O, body), Var("f", OO), const_x, context={"x": O})
+    assert out.var != "x"
+    assert out == Lam("z", O, _tower(Var("z", O), const_x))
+
+
+def test_deep_tilde_omega_map_and_y_truncate():
+    def numeral_with_base(base):
+        return Lam("f", OO, Lam("x", O, _tower(base)))
+
+    t = numeral_with_base(App(OmegaConst(OO), Var("x", O)))
+    want = numeral_with_base(App(Lam("x1", O, OmegaConst(O)), Var("x", O)))
+    assert tilde_omega_map(t) == want
+    t = numeral_with_base(App(App(YConst(OO), Var("g", Arrow(OO, OO))), Var("x", O)))
+    t = Lam("g", Arrow(OO, OO), t)
+    got = y_truncate(t, {OO: 2})
+    want = Lam("g", Arrow(OO, OO), numeral_with_base(
+        App(App(y_tilde(2, OO), Var("g", Arrow(OO, OO))), Var("x", O))))
+    assert got == want and not contains_y(got)
+
+
+def test_deep_printing():
+    t = church_numeral(DEEP, O)
+    assert term_to_str(t) == f"#{DEEP}{{o}}"
+    spelled = "\\f:o -> o. \\x:o. " + "f (" * (DEEP - 1) + "f x" + ")" * (DEEP - 1)
+    assert term_to_str(t, sugar=False) == spelled
+
+
+def test_deep_tree_round_trip():
+    t = church_numeral(DEEP, O)
+    assert tree_to_term(term_to_tree(t)) == t
+    with_constants = Lam("f", OO, _tower(App(YConst(O), Lam("y", O, OmegaConst(O)))))
+    assert tree_to_term(term_to_tree(with_constants)) == with_constants
