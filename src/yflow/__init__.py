@@ -14,7 +14,6 @@ from .analysis import (
     has_head_normal_form,
     has_normal_form,
     proper_nf_equal,
-    properness_report,
     tilde_Y,
     truncation_depths,
 )
@@ -26,7 +25,6 @@ from .harness import (
     ProbeReport,
     check_defines,
     conservativity_pipeline,
-    decode_numeral_loose,
     extended_poly,
     load_spec_file,
     recursion_depth_probe,

@@ -34,7 +34,7 @@ class AnalysisReport:
     recursion type in the term.
     """
 
-    kind: str  # "nf", "hnf" or "properness"
+    kind: str  # "nf" or "hnf"
     verdict: bool
     subject_type: SimpleType
     truncation_depths: dict[SimpleType, int] = field(default_factory=dict)
@@ -104,12 +104,6 @@ def has_head_normal_form(t: Term) -> AnalysisReport:
     return _decide(t, "hnf")
 
 
-def properness_report(t: Term) -> AnalysisReport:
-    """For a term without fixed-point constants: decide whether its long
-    normal form is proper, i.e. mentions no bottom constant."""
-    return _decide(t, "properness")
-
-
 def certified_normalize(t: Term, report: AnalysisReport | None = None) -> Term | None:
     """Normal form of t, or None when the semantic test refutes one.
 
@@ -149,7 +143,6 @@ __all__ = [
     "has_head_normal_form",
     "has_normal_form",
     "proper_nf_equal",
-    "properness_report",
     "tilde_Y",
     "truncation_depths",
 ]

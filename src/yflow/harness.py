@@ -8,10 +8,6 @@ tuples to try.  check_defines applies the candidate term to literal
 numerals, decides normalization semantically, normalizes under the
 certificate and decodes the result.
 
-Decoding accepts the eta-short numeral for 1: the normalizer produces
-\\f:a->a. f where the long form would be \\f:a->a. \\x:a. f x, and both
-denote 1.  Every other numeral survives eta-reduction unchanged.
-
 The pipeline stages a recursive definition through truncation, bottom
 expansion and bottom elimination, then replays the same table against
 the resulting pure term.  Each stage failure is reported with the stage
@@ -68,9 +64,9 @@ class FunctionSpec:
                      numeral_type(self.result_alpha))
 
 
-def default_samples(k: int, upto: int = 4) -> tuple[tuple[int, ...], ...]:
-    """The grid {0..upto}^k in lexicographic order."""
-    return tuple(itertools.product(range(upto + 1), repeat=k))
+def default_samples(k: int) -> tuple[tuple[int, ...], ...]:
+    """The grid {0..4}^k in lexicographic order."""
+    return tuple(itertools.product(range(5), repeat=k))
 
 
 @dataclass(frozen=True)
@@ -120,18 +116,6 @@ class DefinabilityVerdict:
         }
 
 
-def decode_numeral_loose(t: Term, alpha: SimpleType) -> int | None:
-    """decode_numeral plus the eta-short reading of 1."""
-    m = decode_numeral(t, alpha)
-    if m is not None:
-        return m
-    step = Arrow(alpha, alpha)
-    if isinstance(t, Lam) and t.var_ty == step and isinstance(t.body, Var) \
-            and t.body.name == t.var:
-        return 1
-    return None
-
-
 def check_defines(term: Term, spec: FunctionSpec) -> DefinabilityVerdict:
     """Run the candidate term against every sample of the table."""
     ty = type_of(term, {})
@@ -152,7 +136,7 @@ def check_defines(term: Term, spec: FunctionSpec) -> DefinabilityVerdict:
                             ok=expected is None)
         else:
             nf = certified_normalize(applied, report)
-            decoded = decode_numeral_loose(nf, spec.result_alpha)
+            decoded = decode_numeral(nf, spec.result_alpha)
             observed = str(decoded) if decoded is not None else "not-a-numeral"
             row = SampleRow(sample, expected, observed, decoded,
                             ok=expected is not None and decoded == expected)
@@ -440,7 +424,6 @@ __all__ = [
     "SampleRow",
     "check_defines",
     "conservativity_pipeline",
-    "decode_numeral_loose",
     "default_samples",
     "extended_poly",
     "load_spec_file",

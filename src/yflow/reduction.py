@@ -11,7 +11,7 @@ function returning an outcome value: fuel exhaustion is data, not an
 error.
 
 Terms without Y constants are strongly normalizing, so assured_normalize
-(restart with doubled fuel) always terminates on them.  The eta-long
+(normalization with no step bound) always terminates on them.  The eta-long
 form of such a term is computed by beta-eta-normalizing and then fully
 expanding every head, again on a stack; a term is long exactly when that
 expansion leaves it as it is.  Properness classification (the same
@@ -21,6 +21,7 @@ operate on these long forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -170,20 +171,13 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL,
     return FuelExhausted(t, fuel)
 
 
-def assured_normalize(t: Term, fuel: int = 1024, max_fuel: int | None = None) -> Term:
-    """Normalize, doubling the fuel until a normal form is reached.
+def assured_normalize(t: Term) -> Term:
+    """Normalize with no step bound.
 
     Terminates on every term without Y constants, and on any term that
-    has a normal form; diverges otherwise unless max_fuel is set.
+    has a normal form; diverges otherwise.
     """
-    while True:
-        out = normalize(t, fuel)
-        if isinstance(out, Normal):
-            return out.term
-        if max_fuel is not None and fuel >= max_fuel:
-            raise RuntimeError(f"no normal form within {fuel} contractions")
-        t = out.last_term
-        fuel *= 2
+    return normalize(t, math.inf).term
 
 
 def unwind_spine(t: Term) -> tuple[Term, list[Term]]:
@@ -196,7 +190,7 @@ def unwind_spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
-def long_normal_form(t: Term, context=None) -> Term:
+def long_normal_form(t: Term) -> Term:
     """The eta-long beta-normal form of a term without Y constants.
 
     Every abstraction prefix matches the arity of its type and every
@@ -204,19 +198,17 @@ def long_normal_form(t: Term, context=None) -> Term:
     """
     if contains_y(t):
         raise ValueError("long_normal_form applies to terms without Y constants")
-    ty = type_of(t, context)
+    ty = type_of(t)
     nf = assured_normalize(t)
-    used = set(all_names(nf))
-    if context:
-        used |= set(context)
-    return _expand(nf, ty, used)
+    return _expand(nf, ty, set(all_names(nf)))
 
 
 def _expand(t: Term, ty: SimpleType, used: set[str]) -> Term:
     """Eta-expand the beta-normal t of type ty, drawing new binders e1, e2,
     ... (not in used) in preorder; ValueError on a spine headed by a redex."""
     out: list[Term] = []
-    # (term, type) pairs to expand, and the build marks of terms._subst.
+    # (term, type) pairs to expand, and build marks: None for an
+    # application, (binder, type) for an abstraction.
     todo: list = [(t, ty)]
     while todo:
         item = todo.pop()
@@ -250,11 +242,11 @@ def _expand(t: Term, ty: SimpleType, used: set[str]) -> Term:
     return out[0]
 
 
-def is_long_normal(t: Term, context=None) -> bool:
+def is_long_normal(t: Term) -> bool:
     """Whether t is Y-free and eta-long beta-normal: _expand leaves it as it is."""
     if contains_y(t):
         return False
-    ty = type_of(t, context)
+    ty = type_of(t)
     try:
         return _expand(t, ty, set()) == t  # names are drawn only if t is not long
     except ValueError:
@@ -285,9 +277,9 @@ class Improper:
 Properness = Proper | Improper
 
 
-def classify_properness(t: Term, context=None) -> Properness:
+def classify_properness(t: Term) -> Properness:
     """Proper or Improper(witness path); input must be a long normal form."""
-    if not is_long_normal(t, context):
+    if not is_long_normal(t):
         raise ValueError("classify_properness requires a long beta-eta normal form")
 
     found = _search(t, lambda s: isinstance(s, OmegaConst) or None, postorder=False)
@@ -387,10 +379,18 @@ def eliminate_omega(t: Term, numeral_args: int | None = None) -> Term:
 
 
 def decode_numeral(t: Term, alpha: SimpleType) -> int | None:
-    """m when t is alpha-equivalent to church_numeral(m, alpha), else None."""
+    """m when t is alpha-equivalent to church_numeral(m, alpha), else None.
+
+    The eta-short numeral for 1 is accepted too: the normalizer produces
+    \\f:a->a. f where the long form would be \\f:a->a. \\x:a. f x, and
+    both denote 1.  Every other numeral survives eta-reduction unchanged.
+    """
     hit = match_numeral(t)
     if hit is not None and hit[1] == alpha:
         return hit[0]
+    if isinstance(t, Lam) and t.var_ty == Arrow(alpha, alpha) and isinstance(t.body, Var) \
+            and t.body.name == t.var:
+        return 1
     return None
 
 
@@ -406,16 +406,9 @@ def term_size(t: Term) -> int:
     return sum(1 for _ in subterms(t))
 
 
-def enumerate_long_normal_forms(
-    ty: SimpleType,
-    max_size: int,
-    omega_universe: tuple[SimpleType, ...] | None = None,
-) -> list[Term]:
+def enumerate_long_normal_forms(ty: SimpleType, max_size: int) -> list[Term]:
     """All closed long normal forms of the given type, up to max_size nodes."""
-    if omega_universe is None:
-        universe = tuple(sorted(subtypes(ty), key=type_to_str))
-    else:
-        universe = tuple(omega_universe)
+    universe = tuple(sorted(subtypes(ty), key=type_to_str))
 
     @lru_cache(maxsize=None)
     def gen(target: SimpleType, ctx: tuple[SimpleType, ...], budget: int

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import functools
 import threading
-from typing import Callable, Mapping
+from typing import Callable
 
 from .terms import App, Lam, OmegaConst, Term, Var, YConst, type_of
 from .types import (
@@ -72,7 +72,7 @@ _default_size_limit = DEFAULT_SIZE_LIMIT
 
 
 def set_default_size_limit(limit: int) -> None:
-    """Set the session-wide enumeration bound used when no limit is passed."""
+    """Set the session-wide enumeration bound."""
     global _default_size_limit
     if limit < 2:
         raise ValueError("size limit must be at least 2")
@@ -245,35 +245,33 @@ def clear_domain_cache() -> None:
         _domain_cache.clear()
 
 
-def enumerate_domain(ty: SimpleType, size_limit: int | None = None) -> Domain:
+def enumerate_domain(ty: SimpleType) -> Domain:
     """The full domain at ty, cached per process.
 
-    Raises DomainTooLarge when more than size_limit elements would be
-    produced (the default limit is session-wide, see
-    set_default_size_limit).
+    Raises DomainTooLarge when more elements would be produced than the
+    session-wide limit allows (see set_default_size_limit).
     """
-    limit = size_limit if size_limit is not None else _default_size_limit
     cached = _domain_cache.get(ty)
     if cached is not None:
-        if len(cached) > limit:
+        if len(cached) > _default_size_limit:
             raise DomainTooLarge(ty, str(len(cached)))
         return cached
     if ty == GROUND:
         dom = Domain(ty, (Element.of_bool(False), Element.of_bool(True)))
     else:
-        dom = _enumerate_arrow(ty, limit)
+        dom = _enumerate_arrow(ty)
     assert dom.elements[0].mask() == 0, "least element must come first"
-    assert dom.elements[-1].mask() == (1 << height(ty, limit)) - 1, (
+    assert dom.elements[-1].mask() == (1 << height(ty)) - 1, (
         "greatest element must come last")
     with _cache_lock:
         return _domain_cache.setdefault(ty, dom)
 
 
-def _enumerate_arrow(ty: Arrow, limit: int) -> Domain:
-    dom = enumerate_domain(ty.domain, limit)
-    cod_masks = [el.mask() for el in enumerate_domain(ty.codomain, limit).elements]
+def _enumerate_arrow(ty: Arrow) -> Domain:
+    dom = enumerate_domain(ty.domain)
+    cod_masks = [el.mask() for el in enumerate_domain(ty.codomain).elements]
     n = len(dom)
-    bits = height(ty.codomain, limit)
+    bits = height(ty.codomain)
     # Monotone on the covers of the argument order means monotone; the
     # canonical order is a linear extension, so lower covers come first.
     preds: list[list[int]] = [[] for _ in range(n)]
@@ -310,18 +308,18 @@ def _enumerate_arrow(ty: Arrow, limit: int) -> Domain:
         # every candidate at the last position completes a row
         base = packed[i] << bits
         masks.extend([base | w for w in candidates(i)])
-        if len(masks) > limit:
-            raise DomainTooLarge(ty, f"more than {limit}")
+        if len(masks) > _default_size_limit:
+            raise DomainTooLarge(ty, f"more than {_default_size_limit}")
 
     width = n * bits
     return Domain(ty, tuple(Element(ty, mask=m, width=width) for m in masks))
 
 
-def cardinality(ty: SimpleType, size_limit: int | None = None) -> int:
-    return len(enumerate_domain(ty, size_limit))
+def cardinality(ty: SimpleType) -> int:
+    return len(enumerate_domain(ty))
 
 
-def height(ty: SimpleType, size_limit: int | None = None) -> int:
+def height(ty: SimpleType) -> int:
     """Number of strict steps in the longest ascending chain of the domain.
 
     Computed as the product of the argument domain sizes (see the module
@@ -329,7 +327,7 @@ def height(ty: SimpleType, size_limit: int | None = None) -> int:
     """
     h = 1
     for a in argument_types(ty):
-        h *= cardinality(a, size_limit)
+        h *= cardinality(a)
     return h
 
 
@@ -349,14 +347,10 @@ def lfp(f: Element) -> Element:
         x = y
 
 
-Environment = Mapping[str, Element]
-
-
-def eval_term(t: Term, env: Environment | None = None) -> Element:
-    """Denotation of a term; env supplies elements for free variables."""
-    bound: dict[str, Element] = dict(env) if env else {}
-    type_of(t, {name: el.ty for name, el in bound.items()})
-    return _compile(t)[1](bound)
+def eval_term(t: Term) -> Element:
+    """Denotation of a closed term: type-check it, then compile it."""
+    type_of(t)
+    return _compile(t)[1]({})
 
 
 def _compile(t: Term) -> tuple[SimpleType, Callable[[dict[str, Element]], Element]]:
@@ -469,7 +463,6 @@ __all__ = [
     "Domain",
     "DomainTooLarge",
     "Element",
-    "Environment",
     "bottom_element",
     "cardinality",
     "clear_domain_cache",

@@ -282,7 +282,8 @@ def match_numeral(t: Term) -> tuple[int, SimpleType] | None:
            and body.fun.name == f.var and body.fun.ty == f.var_ty):
         m += 1
         body = body.arg
-    if body == Var(inner.var, alpha):
+    # structurally, not by ==, which would build the alpha key of any body
+    if isinstance(body, Var) and body.name == inner.var and body.ty == alpha:
         return m, alpha
     return None
 
@@ -300,32 +301,40 @@ def substitute(t: Term, var: Var, replacement: Term,
 
 
 def _subst(t: Term, var: Var, replacement: Term) -> Term:
+    """Bottom-up: a node whose children come back unchanged is returned as
+    it is, so only the paths to the occurrences of var are rebuilt."""
     repl_free = set(free_vars(replacement))
     out: list[Term] = []
-    # Terms to visit, and marks that build a node from the terms on out:
-    # None for an application, (binder, type) for an abstraction.
+    # Terms to visit, and marks (node,) that rebuild node from its
+    # substituted children on out.
     stack: list = [t]
     while stack:
         s = stack.pop()
         if isinstance(s, App):
-            stack += (None, s.arg, s.fun)
+            stack += ((s,), s.arg, s.fun)
         elif isinstance(s, Lam) and s.var != var.name:
-            name, body = s.var, s.body
-            if name in repl_free and var.name in free_vars(body):
-                name = fresh_name(name, repl_free | all_names(body) | {var.name})
-                body = _subst(body, Var(s.var, s.var_ty), Var(name, s.var_ty))
-            stack += ((name, s.var_ty), body)
+            stack += ((s,), s.body)
         elif isinstance(s, Var) and s.name == var.name:
             if s.ty != var.ty:
                 raise TypingError(f"occurrence of {s.name} has type {s.ty}", s)
             out.append(replacement)
         elif isinstance(s, Term):
             out.append(s)
-        elif s is None:
-            arg = out.pop()
-            out[-1] = App(out[-1], arg)
         else:
-            out[-1] = Lam(s[0], s[1], out[-1])
+            (s,) = s
+            if isinstance(s, App):
+                arg = out.pop()
+                fun = out[-1]
+                out[-1] = s if fun is s.fun and arg is s.arg else App(fun, arg)
+            elif out[-1] is s.body:
+                out[-1] = s
+            elif s.var not in repl_free:
+                out[-1] = Lam(s.var, s.var_ty, out[-1])
+            else:  # the binder would capture the replacement: rename it, then redo
+                out.pop()
+                name = fresh_name(s.var, repl_free | all_names(s.body) | {var.name})
+                body = _subst(s.body, Var(s.var, s.var_ty), Var(name, s.var_ty))
+                stack.append(Lam(name, s.var_ty, body))
     return out[0]
 
 
@@ -403,7 +412,9 @@ def tree_to_term(tree: dict) -> Term:
     from .parser import parse_type
 
     out: list[Term] = []
-    stack: list = [tree]  # nodes, and build marks as in _subst
+    # Nodes, and build marks: None for an application, (binder, type) for
+    # an abstraction.
+    stack: list = [tree]
     while stack:
         node = stack.pop()
         if node is None:

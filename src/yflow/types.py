@@ -57,10 +57,6 @@ def argument_types(ty: SimpleType) -> tuple[SimpleType, ...]:
     return tuple(args)
 
 
-def arity(ty: SimpleType) -> int:
-    return len(argument_types(ty))
-
-
 def arrow(args: tuple[SimpleType, ...] | list[SimpleType], result: SimpleType) -> SimpleType:
     """Fold a -> b -> ... -> result from an argument list."""
     ty = result

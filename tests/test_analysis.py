@@ -8,7 +8,6 @@ from yflow.analysis import (
     has_head_normal_form,
     has_normal_form,
     proper_nf_equal,
-    properness_report,
     tilde_Y,
     truncation_depths,
 )
@@ -149,14 +148,12 @@ def test_deep_truncations_normalize_to_certified_output():
             assert deeper == nf, term_to_str(t)
 
 
-def test_properness_report_matches_syntactic_classification():
+def test_nf_verdict_matches_syntactic_properness():
     from term_corpus import omega_corpus
 
     for t in omega_corpus()[::5]:
         want = bool(classify_properness(long_normal_form(t)))
-        got = properness_report(t)
-        assert got.verdict == want, term_to_str(t)
-        assert got.kind == "properness"
+        assert has_normal_form(t).verdict == want, term_to_str(t)
 
 
 def test_proper_nf_equal():

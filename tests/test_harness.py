@@ -8,7 +8,6 @@ from yflow.harness import (
     PipelineError,
     check_defines,
     conservativity_pipeline,
-    decode_numeral_loose,
     default_samples,
     extended_poly,
     load_spec_file,
@@ -125,10 +124,10 @@ def test_verdict_rendering_and_json():
                               "observed": "3", "ok": True}
 
 
-def test_decode_numeral_loose_accepts_eta_short_one():
-    assert decode_numeral_loose(parse_term(r"\f:o->o. f"), O) == 1
-    assert decode_numeral_loose(church_numeral(1, O), O) == 1
-    assert decode_numeral_loose(parse_term(r"\x:o. x"), O) is None
+def test_decode_numeral_accepts_eta_short_one():
+    assert decode_numeral(parse_term(r"\f:o->o. f"), O) == 1
+    assert decode_numeral(church_numeral(1, O), O) == 1
+    assert decode_numeral(parse_term(r"\x:o. x"), O) is None
 
 
 def test_pipeline_add_and_y_wrapped_add():

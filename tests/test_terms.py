@@ -78,6 +78,18 @@ def test_substitute_capture_avoidance():
     assert out.var != "y"
 
 
+def test_substitute_shares_what_it_leaves_unchanged():
+    t = parse_term(r"[x:o, h:o->o->o, g:o->o] \y:o. h (g (g y)) x")
+    untouched = t.body.fun.arg
+    out = substitute(t, Var("x", O), Var("z", O), context={"z": O})
+    assert out == parse_term(r"[z:o, h:o->o->o, g:o->o] \y:o. h (g (g y)) z")
+    assert out.body.fun.arg is untouched
+    assert substitute(t, Var("w", O), Var("z", O), context={"z": O}) is t
+    # a renamed binder takes the first fresh name
+    capture = parse_term(r"[x:o] \y:o->o. y x")
+    assert substitute(capture, Var("x", O), Var("y", O), context={"y": O}).var == "y'"
+
+
 def test_substitute_type_mismatch_rejected():
     t = parse_term(r"[x:o] x")
     with pytest.raises(TypingError):
@@ -185,6 +197,19 @@ def test_deep_free_vars_and_substitute():
     out = substitute(Lam("x", O, body), Var("f", OO), const_x, context={"x": O})
     assert out.var != "x"
     assert out == Lam("z", O, _tower(Var("z", O), const_x))
+
+
+def test_printing_nested_binder_pairs_builds_no_alpha_key(monkeypatch):
+    import yflow.terms as terms
+
+    t = Var("x", O)
+    for _ in range(2000):
+        t = Lam("f", OO, Lam("x", O, App(Var("g", OO), t)))
+    calls = []
+    real = terms._alpha_key
+    monkeypatch.setattr(terms, "_alpha_key", lambda s: calls.append(s) or real(s))
+    assert term_to_str(t).startswith(r"\f:o -> o. \x:o. g (\f:o -> o. ")
+    assert calls == []
 
 
 def test_deep_tilde_omega_map_and_y_truncate():

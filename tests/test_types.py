@@ -6,7 +6,6 @@ from yflow.types import (
     Arrow,
     Ground,
     argument_types,
-    arity,
     arrow,
     numeral_parameter,
     numeral_type,
@@ -42,7 +41,6 @@ def test_print_parse_round_trip(ty):
 @given(types)
 def test_argument_types_arrow_inverse(ty):
     assert arrow(argument_types(ty), GROUND) == ty
-    assert arity(ty) == len(argument_types(ty))
 
 
 def test_numeral_type_shape():
