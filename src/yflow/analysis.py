@@ -1,7 +1,7 @@
 """Deciding normalization properties through the finite semantics.
 
-The verdicts come from evaluating the term as it stands (fixed points by
-least-fixed-point iteration) and applying the appropriate test element.
+The verdicts come from evaluating the term as it stands (fixed points
+solved where the test reads them) and applying the appropriate test element.
 Reduction never participates in a verdict; it only extracts the witness
 afterwards.
 

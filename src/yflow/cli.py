@@ -43,6 +43,7 @@ from .reduction import (
 )
 from .semantics import (
     DomainTooLarge,
+    FixpointInvariantError,
     dump_domain,
     enumerate_domain,
     eval_term,
@@ -88,7 +89,7 @@ def guarded(fn):
             _fail("semantics", f"undecided at the configured size limit: {e}", as_json)
         except PipelineError as e:
             _fail(e.stage, str(e), as_json)
-        except AnalysisInvariantError as e:
+        except (AnalysisInvariantError, FixpointInvariantError) as e:
             _fail("invariant", str(e), as_json)
         except RecursionError:
             _fail("input", "term nesting exceeds the interpreter limit", as_json)
@@ -214,9 +215,7 @@ def normalize_cmd(term_text, file, fuel, strategy, no_sugar, as_json):
 @guarded
 def long_nf_cmd(term_text, file, no_sugar, as_json):
     """Print the long (eta-expanded) normal form of a fixed-point-free term."""
-    t = _read_term(term_text, file)
-    nf = long_normal_form(t)
-    _echo_term(nf, no_sugar, as_json)
+    _echo_term(long_normal_form(_read_term(term_text, file)), no_sugar, as_json)
 
 
 @main.command("proper")
@@ -354,9 +353,7 @@ def certify_nf_cmd(term_text, file, no_sugar, as_json):
 @guarded
 def tilde_y_cmd(term_text, file, no_sugar, as_json):
     """Replace fixed points by their height-deep truncated unfoldings."""
-    t = _read_term(term_text, file)
-    out = tilde_Y(t)
-    _echo_term(out, no_sugar, as_json)
+    _echo_term(tilde_Y(_read_term(term_text, file)), no_sugar, as_json)
 
 
 @main.command("tilde-omega")
@@ -366,9 +363,7 @@ def tilde_y_cmd(term_text, file, no_sugar, as_json):
 @guarded
 def tilde_omega_cmd(term_text, file, no_sugar, as_json):
     """Expand higher-type bottom constants to ground ones."""
-    t = _read_term(term_text, file)
-    out = tilde_omega_map(t)
-    _echo_term(out, no_sugar, as_json)
+    _echo_term(tilde_omega_map(_read_term(term_text, file)), no_sugar, as_json)
 
 
 @main.command("eliminate-omega")
@@ -381,8 +376,7 @@ def tilde_omega_cmd(term_text, file, no_sugar, as_json):
 @guarded
 def eliminate_omega_cmd(term_text, file, numeral_args, no_sugar, as_json):
     """Rewrite a ground-bottom term at numeral type into a pure one."""
-    t = _read_term(term_text, file)
-    out = eliminate_omega(t, numeral_args=numeral_args)
+    out = eliminate_omega(_read_term(term_text, file), numeral_args=numeral_args)
     _echo_term(out, no_sugar, as_json)
 
 

@@ -3,8 +3,8 @@
 The ground domain is {bot, top} with bot < top; the domain at s -> t is
 every monotone map from the domain at s to the domain at t, ordered
 pointwise.  Bottom constants denote the least element, and the fixed
-point constant denotes the least-fixed-point operator, computed by
-iterating from bottom until the value stabilizes.
+point constant denotes the least-fixed-point operator, solved only at
+the points of its table that are read (see lfp).
 
 At t1 -> ... -> tn -> o an element is determined by the set of points
 of the product D(t1) x ... x D(tn) it sends to top, and monotone maps
@@ -17,13 +17,13 @@ their types and masks agree.
 
 An arrow element is either lazy or forced, never both.  A lazy element
 is a closure that applies on demand, so evaluation and the test/probe
-construction never enumerate anything.  Extensional equality (needed by
-the fixed-point iteration) forces it: the table over the enumerated
-argument domain is packed into the mask and the closure is dropped, as
-call-by-need overwrites a forced thunk with its value.  Only forcing can
-raise DomainTooLarge.  Enumerated elements are born forced, and applying
-a forced element reads the entry at the argument's index, so each lfp
-iterate is computed from the previous one's mask, not from its history.
+construction never enumerate anything.  Extensional equality forces
+it: the table over the enumerated argument domain is packed into the
+mask and the closure is dropped, as call-by-need overwrites a forced
+thunk with its value.  Forcing and lfp can raise DomainTooLarge.
+Enumerated elements are born forced, and applying a forced element
+reads the entry at the argument's index.  A fixed point is lazy: it
+solves a point when it is first applied at it.
 
 A term is compiled once per evaluation: one walk gives every subterm its
 type (a variable carries its own, an abstraction's comes from its
@@ -46,8 +46,8 @@ Chain heights multiply out: the longest chain adds one point at a time,
 so its length is the product of the argument domain sizes.  This lets
 height() answer for types whose own domain is far too large to
 enumerate, as long as the argument domains are small; those are exactly
-the types at which fixed-point stabilization is checkable, so height
-and lfp fail together.
+the types at which lfp can index its points, so height and lfp fail
+together.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from .types import (
     Arrow,
     SimpleType,
     argument_types,
-    arrow,
     type_to_str,
 )
 
@@ -331,20 +330,91 @@ def height(ty: SimpleType) -> int:
     return h
 
 
-def lfp(f: Element) -> Element:
-    """Least fixed point of a monotone f by iteration from bottom.
+class FixpointInvariantError(Exception):
+    """A fixed-point solve passed its round bound: a bug, never an answer."""
 
-    Stabilization is detected extensionally, so the argument domains of
-    f's recursion type must be enumerable.
+
+def _on_arguments(ty: SimpleType, fn: Callable[[tuple], bool], args: tuple = ()) -> Element:
+    """The element at ty = t1 -> ... -> tn -> o sending a1, ..., an to fn((a1, ..., an))."""
+    if not isinstance(ty, Arrow):
+        return Element.of_bool(fn(args))
+    return Element(ty, lambda arg: _on_arguments(ty.codomain, fn, args + (arg,)))
+
+
+def _max_rounds(h: int) -> int:
+    return 2 * h + 1
+
+
+def lfp(f: Element) -> Element:
+    """Least fixed point of a monotone f at s = t1 -> ... -> tn -> o,
+    solved only at the points (tuples of argument indices) it is read at.
+
+    Reading an unknown point demands it and solves: each round evaluates
+    f, applied to a fresh lazy approximant, at every demanded point still
+    false.  The approximant at q is top iff a point found true lies at or
+    below q (componentwise Domain.leq); reading it demands q when q is new.
+    When a round flips and adds no point, every demanded point is frozen
+    and never evaluated again.  Each round but the last adds or flips a
+    point, each of the height(s) points at most once each way: past
+    2*height(s)+1 rounds a solve raises FixpointInvariantError.
+
+    The result is exact.  An evaluation reads its argument only through
+    the approximant, so its value is fixed by the values it reads.
+    - Every true point is justified from an approximant at or below lfp,
+      so by monotonicity the hull of the true points stays at or below it.
+    - A frozen false point q was evaluated in the last round, which read
+      the final values, only at demanded points or under the hull.  For a
+      Kleene iterate rho_k that is bottom at every demanded false point,
+      f(hull join rho_k) reads what f(hull) read, so it is bottom at q, and
+      so is rho_k+1 = f(rho_k).  By induction lfp(q) is bottom.  Points
+      frozen by earlier solves are exact, so this holds across solves.
     """
     if not (isinstance(f.ty, Arrow) and f.ty.domain == f.ty.codomain):
         raise ValueError(f"lfp needs an element of type s -> s, got {f.ty}")
-    x = bottom_element(f.ty.domain)
-    while True:
-        y = f.apply(x)
-        if y == x:
-            return x
-        x = y
+    s = f.ty.domain
+    doms = [enumerate_domain(a) for a in argument_types(s)]
+    bound = _max_rounds(height(s))
+    # True: found true; False: frozen false; None: demanded, false so far.
+    points: dict[tuple, bool | None] = {}
+    trues: list[tuple] = []  # the points at which f gave top
+
+    def read(p: tuple) -> bool:
+        """The approximant at p; demands p when it is new and false."""
+        v = points.get(p)
+        if v is None and any(all(map(Domain.leq, doms, q, p)) for q in trues):
+            v = points[p] = True
+        elif p not in points:
+            points[p] = None
+        return bool(v)
+
+    def at_point(answer: Callable[[tuple], bool]) -> Element:
+        return _on_arguments(s, lambda args: answer(tuple(map(Domain.index_of, doms, args))))
+
+    def evaluate(p: tuple) -> bool:
+        x = f.apply(at_point(read))
+        for dom, i in zip(doms, p):
+            x = x.apply(dom.elements[i])
+        return x.flag
+
+    def value(p: tuple) -> bool:
+        if not read(p) and points[p] is None:
+            for _ in range(bound):
+                before = dict(points)
+                for q, v in before.items():
+                    if v is None and points[q] is None and evaluate(q):
+                        points[q] = True
+                        trues.append(q)
+                if points == before:
+                    break
+            else:
+                raise FixpointInvariantError(f"least fixed point at {type_to_str(s)} "
+                                             f"did not stabilize within {bound} rounds")
+            for q, v in points.items():
+                if v is None:
+                    points[q] = False
+        return points[p]
+
+    return at_point(value)
 
 
 def eval_term(t: Term) -> Element:
@@ -417,20 +487,8 @@ def head_test_t(ty: SimpleType) -> Element:
 @functools.cache
 def probe_s(ty: SimpleType) -> Element:
     """The probe at ty, an element of the domain at ty."""
-    args = argument_types(ty)
-    if not args:
-        return Element.of_bool(True)
-
-    def stage(i: int, acc: bool) -> Element:
-        def fn(x: Element, i=i, acc=acc) -> Element:
-            acc2 = acc and test_t(args[i]).apply(x).flag
-            if i + 1 == len(args):
-                return Element.of_bool(acc2)
-            return stage(i + 1, acc2)
-
-        return Element(arrow(args[i:], GROUND), fn)
-
-    return stage(0, True)
+    return _on_arguments(ty, lambda args: all(
+        test_t(a).apply(x).flag for a, x in zip(argument_types(ty), args)))
 
 
 def render_element(el: Element) -> str:
@@ -463,6 +521,7 @@ __all__ = [
     "Domain",
     "DomainTooLarge",
     "Element",
+    "FixpointInvariantError",
     "bottom_element",
     "cardinality",
     "clear_domain_cache",

@@ -303,7 +303,7 @@ def substitute(t: Term, var: Var, replacement: Term,
 def _subst(t: Term, var: Var, replacement: Term) -> Term:
     """Bottom-up: a node whose children come back unchanged is returned as
     it is, so only the paths to the occurrences of var are rebuilt."""
-    repl_free = set(free_vars(replacement))
+    repl_free: set[str] | None = None
     out: list[Term] = []
     # Terms to visit, and marks (node,) that rebuild node from its
     # substituted children on out.
@@ -328,10 +328,13 @@ def _subst(t: Term, var: Var, replacement: Term) -> Term:
                 out[-1] = s if fun is s.fun and arg is s.arg else App(fun, arg)
             elif out[-1] is s.body:
                 out[-1] = s
-            elif s.var not in repl_free:
-                out[-1] = Lam(s.var, s.var_ty, out[-1])
-            else:  # the binder would capture the replacement: rename it, then redo
-                out.pop()
+            else:
+                if repl_free is None:  # only read here, so collected on first need
+                    repl_free = set(free_vars(replacement))
+                if s.var not in repl_free:
+                    out[-1] = Lam(s.var, s.var_ty, out[-1])
+                    continue
+                out.pop()  # the binder would capture the replacement: rename it, then redo
                 name = fresh_name(s.var, repl_free | all_names(s.body) | {var.name})
                 body = _subst(s.body, Var(s.var, s.var_ty), Var(name, s.var_ty))
                 stack.append(Lam(name, s.var_ty, body))

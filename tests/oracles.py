@@ -7,6 +7,11 @@ strict order.  Everything is exponential and only usable at the small
 types the tests feed it, which is the point: simple enough to audit by
 eye, computed by a different route than the code under test.
 
+oracle_lfp is the exception: it is the Kleene iteration yflow.semantics
+replaced with a demand-driven solver, forcing every iterate's whole table
+through the package's elements, so its answers rest on the elements alone
+and not on the solver under test.
+
 The reduction oracles at the end are the plain recursive walkers that
 yflow.reduction replaced with one explicit-stack search: they spend a
 Python frame per nesting level, so they only serve shallow terms.
@@ -18,6 +23,7 @@ from functools import cache
 from itertools import product
 
 from yflow.reduction import unwind_spine
+from yflow.semantics import Element, bottom_element, height
 from yflow.terms import App, Lam, OmegaConst, Term, Var, YConst, _subst, free_vars
 from yflow.types import Arrow, Ground, SimpleType, argument_types
 
@@ -75,6 +81,23 @@ def oracle_apply(ty: SimpleType, f, a):
     """Apply an oracle arrow element to an oracle argument element."""
     dom = oracle_elements(ty.domain)
     return f[dom.index(a)]
+
+
+def oracle_lfp(f: Element) -> Element:
+    """Least fixed point of f at s -> s by iteration from bottom, each
+    iterate forced and compared with the last.
+
+    The iterates of a monotone f climb a chain, so they stabilize within
+    height(s) strict steps; a non-monotone f that cycles raises an
+    AssertionError instead of looping.
+    """
+    x = bottom_element(f.ty.domain)
+    for _ in range(height(f.ty.domain) + 1):
+        y = f.apply(x)
+        if y == x:
+            return x
+        x = y
+    raise AssertionError(f"no fixed point within height of {f.ty.domain}")
 
 
 def _oracle_eta_contractum(t: Lam) -> Term | None:

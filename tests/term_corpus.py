@@ -101,6 +101,16 @@ HIGHER_Y_CORPUS = [spell(text) for text in [
 ]]
 
 
+# The two anchor terms of the decide benchmark: nested3 nests Y{W->W} and
+# has a head normal form but no normal form; swap3 swaps the arguments of
+# Y{W->W->W} and has neither.
+NESTED3 = spell(r"\n:W. Y{W->W} (\f:W->W. \x:W. Y{W->W} (\g:W->W. \y:W. "
+                r"IFZ y (f x) (g (f y))) (IFZ x n (f (ADD x n)))) n")
+_SWAP3_STEP = r"\f:W->W->W. \x:W. \y:W. IFZ x y (f y (SUCC x))"
+SWAP3_STEP = spell(_SWAP3_STEP)
+SWAP3 = spell(rf"Y{{W->W->W}} ({_SWAP3_STEP}) #2{{o}} #1{{o}}")
+
+
 def _endo(rng: random.Random, depth: int) -> Term:
     """A closed term of type o -> o, possibly recursive, possibly divergent."""
     roll = rng.random()

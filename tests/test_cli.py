@@ -299,3 +299,19 @@ def test_depth_probe_json(run):
             "--first-zero", "0", "--depth", "1")
     rec = json.loads(r.output)
     assert rec["outcome"] == "zero" and rec["bound_violated"] is False
+
+
+def test_a_fixed_point_past_its_round_bound_fails_as_an_invariant(run, monkeypatch):
+    # the solve demands (bot, top) from (top, top), so it needs a second round
+    import yflow.semantics as semantics
+
+    monkeypatch.setattr(semantics, "_max_rounds", lambda h: 1)
+    term = r"Y{o->o->o} (\f:o->o->o. \x:o. \y:o. f Omega{o} y)"
+    r = run("decide-nf", term)
+    assert r.exit_code == 2
+    assert r.stderr == ("error [invariant]: least fixed point at o -> o -> o "
+                        "did not stabilize within 1 rounds\n")
+    r = run("decide-nf", "--json", term)
+    assert r.exit_code == 2 and json.loads(r.stdout)["stage"] == "invariant"
+    monkeypatch.undo()
+    assert run("decide-nf", term).exit_code == 1

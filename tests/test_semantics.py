@@ -2,9 +2,11 @@
 fixed points, and the test/probe elements."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_cardinality, oracle_elements, oracle_height, oracle_leq
-from term_corpus import omega_corpus
+import yflow.semantics as semantics
+from oracles import oracle_cardinality, oracle_elements, oracle_height, oracle_leq, oracle_lfp
+from term_corpus import HIGHER_Y_CORPUS, NESTED3, SWAP3, SWAP3_STEP, omega_corpus
 from yflow.parser import parse_term, parse_type
 from yflow.reduction import assured_normalize
 from yflow.semantics import (
@@ -305,3 +307,81 @@ def test_eval_types_the_term_once(monkeypatch):
     value = eval_term(t)
     assert len(calls) == 1
     assert value.ty == O and value.flag is False
+
+
+@pytest.mark.parametrize("s", ["o->o->o", "(o->o)->o->o"])
+def test_lfp_agrees_with_the_kleene_oracle(s):
+    # f is drawn from the whole domain at s -> s: 494 maps at o->o->o and
+    # 120,549 at W; a forced f forces its argument, so every point is solved
+    ty = parse_type(s)
+    fdom = enumerate_domain(Arrow(ty, ty))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.integers(0, len(fdom) - 1))
+    def agrees(i):
+        f = fdom.elements[i]
+        assert lfp(f).mask() == oracle_lfp(f).mask(), render_element(f)
+
+    agrees()
+
+
+def test_fixed_points_a_verdict_reads_agree_with_the_kleene_oracle(monkeypatch):
+    # the verdict solves each Y only at the points it reads; forcing the
+    # value afterwards solves the rest, around the points already frozen
+    real = semantics.lfp
+
+    def recording(f):
+        solved.append((f, real(f)))
+        return solved[-1][1]
+
+    for t in HIGHER_Y_CORPUS + [NESTED3, SWAP3]:
+        solved = []
+        monkeypatch.setattr(semantics, "lfp", recording)
+        value = eval_term(t)
+        flow_test(value.ty).apply(value)
+        monkeypatch.undo()
+        assert solved
+        for f, fixed in list(solved):
+            assert fixed.mask() == oracle_lfp(f).mask(), str(t)
+
+
+def _counting(f):
+    """f as a lazy element that records each point its values are read at."""
+    calls = []
+
+    def step(r):
+        return semantics._on_arguments(
+            f.ty.codomain, lambda args: calls.append(args) or _at(f.apply(r), *args))
+
+    return Element(f.ty, step), calls
+
+
+def _at(fixed, *args):
+    for a in args:
+        fixed = fixed.apply(a)
+    return fixed.flag
+
+
+def test_a_solved_point_is_never_evaluated_again():
+    # swap3's step: f x y = IFZ x y (f y (SUCC x)), so (1, 0) recurses to
+    # (0, 2), which returns 2; (1, 1) swaps forever
+    f, calls = _counting(eval_term(SWAP3_STEP))
+    fixed = lfp(f)
+    zero, one = (eval_term(church_numeral(k, O)) for k in (0, 1))
+    probes = [probe_s(OO), probe_s(O)]
+    assert _at(fixed, one, zero, *probes) and not _at(fixed, one, one, *probes)
+    solved = len(calls)
+    assert solved > 0
+    # asked again, and (0, 1), which the first solve demanded on the way
+    assert _at(fixed, one, zero, *probes) and not _at(fixed, one, one, *probes)
+    assert _at(fixed, zero, one, *probes)
+    assert len(calls) == solved
+
+
+def test_one_point_of_swap3s_recursion_evaluates_f_at_few_points():
+    # iterating whole tables would evaluate f at all 600 points, per iterate
+    f, calls = _counting(eval_term(SWAP3_STEP))
+    fixed = lfp(f)
+    two, one = (eval_term(church_numeral(k, O)) for k in (2, 1))
+    assert not _at(fixed, two, one, probe_s(OO), probe_s(O))
+    assert 0 < len(calls) < height(fixed.ty) == 600
