@@ -111,13 +111,14 @@ def certified_normalize(t: Term, report: AnalysisReport | None = None) -> Term |
     must be free of bottom constants and is then a normal form of t
     itself.  A constant surviving in the output voids the certificate
     and raises AnalysisInvariantError rather than returning quietly.
-    Pass a report from has_normal_form to skip re-deciding.
+    Pass the report of has_normal_form(t) to skip re-deciding; its depths
+    truncate t.
     """
     if report is None:
         report = has_normal_form(t)
     if not report.verdict:
         return None
-    truncated = tilde_Y(t)
+    truncated = y_truncate(t, report.truncation_depths)
     nf = assured_normalize(truncated)
     if contains_omega(nf):
         raise AnalysisInvariantError(

@@ -1,29 +1,21 @@
-"""Fuel-bounded reduction and normal-form machinery.
+"""Normal forms, by fuel-bounded reduction or by evaluation.
 
-Rules: beta, eta contraction, and unfolding of the fixed-point constant
-(Y f -> f (Y f)).  The default strategy contracts the leftmost-outermost
-redex, which reaches a normal form whenever one exists; an innermost
-strategy is kept alongside for cross-checking confluence on terms
-without fixed points.  Both are one search on an explicit stack, which
-visits subterms left to right in preorder (outermost) or postorder
-(innermost) and stops at the first redex.  Normalization is a total
-function returning an outcome value: fuel exhaustion is data, not an
-error.
-
-Terms without Y constants are strongly normalizing, so assured_normalize
-(normalization with no step bound) always terminates on them.  The eta-long
-form of such a term is computed by beta-eta-normalizing and then fully
-expanding every head, again on a stack; a term is long exactly when that
-expansion leaves it as it is.  Properness classification (the same
-search, stopping at the first bottom constant) and bottom elimination
-operate on these long forms.
+normalize contracts one redex at a time (beta, eta, Y f -> f (Y f))
+within a step budget; running out is data, not an error.  Its
+leftmost-outermost strategy reaches a normal form whenever one exists,
+and an innermost one is kept for cross-checking; both are one search on
+an explicit stack.  assured_normalize and long_normal_form normalize by
+evaluation instead: a lazy Krivine machine reduces to weak head normal
+form, sharing each argument as a thunk forced at most once (Y{s} a is a
+thunk x = a x), and a readback loop on its own stack evaluates under
+binders.  Y-free terms are strongly normalizing, so both terminate on
+them.  Properness and bottom elimination act on long forms.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .terms import (
     App,
@@ -33,7 +25,6 @@ from .terms import (
     Var,
     YConst,
     _subst,
-    all_names,
     contains_y,
     free_vars,
     fresh_name,
@@ -171,86 +162,157 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL,
     return FuelExhausted(t, fuel)
 
 
+class BlackHoleError(RuntimeError):
+    """A thunk was needed while it was being forced: its weak head normal
+    form depends on itself, so the term has no normal form."""
+
+
+_HOLE = object()  # the value of a thunk while it is being forced
+_UPDATE = object()  # frame mark: the thunk below it is being forced
+
+
+class _Thunk:
+    """A shared suspension: term in env until forced, then its value."""
+
+    __slots__ = ("term", "env", "value")
+
+    def __init__(self, term, env, value=None):
+        self.term, self.env, self.value = term, env, value
+
+
+def _eval(term: Term, env: dict, frames: list):
+    """The weak head normal form of term in env applied to frames, a stack
+    of argument thunks (a lazy Krivine machine).  A thunk is forced once:
+    _UPDATE above it on frames marks where its value is written back.
+
+    A value is a closure (Lam, env), env mapping source names to thunks,
+    or a neutral (head, args): a variable, a bottom or an unapplied Y
+    applied to argument thunks."""
+    while True:
+        while type(term) is App:
+            arg = term.arg
+            frames.append(type(arg) is Var and env.get(arg.name) or _Thunk(arg, env))
+            term = term.fun
+        th = env.get(term.name) if type(term) is Var else None
+        if th is None:  # a free variable, a constant or an abstraction
+            value = (term, env if type(term) is Lam else ())
+        elif th.value is None:
+            th.value = _HOLE
+            frames += (th, _UPDATE)
+            term, env = th.term, th.env
+            continue
+        elif th.value is _HOLE:
+            raise BlackHoleError("a shared subterm needs its own value")
+        else:
+            value = th.value
+        while frames:
+            top = frames.pop()
+            head, rest = value
+            if top is _UPDATE:
+                th = frames.pop()
+                th.term = th.env = None
+                th.value = value
+            elif type(head) is Lam:
+                term, env = head.body, {**rest, head.var: top}
+                break
+            elif type(head) is YConst:  # Y{s} a is x, shared, with x = a x
+                x = _Thunk(None, None, _HOLE)
+                frames += (x, _UPDATE)
+                ax = App(Var("a", Arrow(head.ty, head.ty)), Var("x", head.ty))
+                term, env = ax, {"a": top, "x": x}
+                break
+            else:
+                args = [top]
+                while frames and frames[-1] is not _UPDATE:
+                    args.append(frames.pop())
+                value = (head, rest + tuple(args))
+        else:
+            return value
+
+
+def _normal_form(t: Term, ty: SimpleType | None) -> Term:
+    """The beta normal form of t read back from its value, eta-long at type
+    ty, or eta-contracted when ty is None.
+
+    Readback runs on a stack of (thunk, type) items, forcing each thunk it
+    reaches, and of build marks: None for an application, the bound
+    variable for an abstraction.  A source binder keeps its name, primed
+    against the names in scope and t's free names; the binder eta-expanding
+    the i-th argument is e<i>, primed against every name drawn so far.
+    No binder shadows another, so a name identifies its binder."""
+    # t's free names and the names bound here, with their uses so far
+    scope: dict[str, int] = dict.fromkeys(free_vars(t), 0)
+    drawn = set(scope)
+    out: list[Term] = []
+    todo: list = [(_Thunk(t, {}), ty)]
+    while todo:
+        item = todo.pop()
+        if item is None:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+        elif type(item) is Var:
+            uses = scope.pop(item.name)
+            body = out[-1]
+            if ty is None and type(body) is App and body.arg is item and uses == 1:
+                out[-1] = body.fun  # eta: the binder's one use is this argument
+            else:
+                out[-1] = Lam(item.name, item.ty, body)
+        else:
+            th, item_ty = item
+            if th.value is None:
+                th.value = _HOLE
+                _eval(th.term, th.env, [th, _UPDATE])
+            value = th.value
+            expand = argument_types(item_ty) if ty is not None else ()
+            i = 0
+            while type(value[0]) is Lam or i < len(expand):
+                head, rest = value
+                if type(head) is Lam:
+                    name = head.var
+                    while name in scope:
+                        name += "'"
+                    var = Var(name, head.var_ty)
+                else:
+                    var = Var(fresh_name(f"e{i + 1}", drawn), expand[i])
+                th = _Thunk(None, None, (var, ()))
+                value = (_eval(head.body, {**rest, head.var: th}, []) if type(head) is Lam
+                         else (head, rest + (th,)))
+                i += 1
+                scope[var.name] = 0
+                drawn.add(var.name)
+                todo.append(var)
+            head, args = value
+            out.append(head)
+            if type(head) is Var and head.name in scope:
+                scope[head.name] += 1
+            arg_tys = argument_types(head.ty) if ty is not None else (None,) * len(args)
+            for arg, arg_ty in reversed(list(zip(args, arg_tys))):
+                todo += (None, (arg, arg_ty))
+    return out[0]
+
+
 def assured_normalize(t: Term) -> Term:
-    """Normalize with no step bound.
+    """The beta-eta normal form of t, with no step bound.
 
     Terminates on every term without Y constants, and on any term that
-    has a normal form; diverges otherwise.
-    """
-    return normalize(t, math.inf).term
-
-
-def unwind_spine(t: Term) -> tuple[Term, list[Term]]:
-    """Split h M1 ... Mk into (h, [M1, ..., Mk])."""
-    args: list[Term] = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fun
-    args.reverse()
-    return t, args
+    has a normal form; otherwise diverges, or raises BlackHoleError when
+    a shared subterm needs its own value."""
+    return _normal_form(t, None)
 
 
 def long_normal_form(t: Term) -> Term:
     """The eta-long beta-normal form of a term without Y constants.
 
     Every abstraction prefix matches the arity of its type and every
-    head is applied to a full argument list.
-    """
+    head is applied to a full argument list."""
     if contains_y(t):
         raise ValueError("long_normal_form applies to terms without Y constants")
-    ty = type_of(t)
-    nf = assured_normalize(t)
-    return _expand(nf, ty, set(all_names(nf)))
-
-
-def _expand(t: Term, ty: SimpleType, used: set[str]) -> Term:
-    """Eta-expand the beta-normal t of type ty, drawing new binders e1, e2,
-    ... (not in used) in preorder; ValueError on a spine headed by a redex."""
-    out: list[Term] = []
-    # (term, type) pairs to expand, and build marks: None for an
-    # application, (binder, type) for an abstraction.
-    todo: list = [(t, ty)]
-    while todo:
-        item = todo.pop()
-        if item is None:
-            arg = out.pop()
-            out[-1] = App(out[-1], arg)
-            continue
-        body, body_ty = item
-        if isinstance(body, str):  # an abstraction mark
-            out[-1] = Lam(body, body_ty, out[-1])
-            continue
-        binders = []
-        for a in argument_types(body_ty):
-            if isinstance(body, Lam):
-                binders.append((body.var, body.var_ty))
-                body = body.body
-            else:
-                name = fresh_name(f"e{len(binders) + 1}", used)
-                used.add(name)
-                binders.append((name, a))
-                body = App(body, Var(name, a))
-        head, spine = unwind_spine(body)
-        if not isinstance(head, (Var, OmegaConst)):
-            raise ValueError(f"not beta-normal: a spine has head {head!r}")
-        expected = argument_types(head.ty)
-        assert len(expected) == len(spine), "ground spine must be fully applied"
-        out.append(head)
-        todo += binders
-        for arg, arg_ty in reversed(list(zip(spine, expected))):
-            todo += (None, (arg, arg_ty))
-    return out[0]
+    return _normal_form(t, type_of(t))
 
 
 def is_long_normal(t: Term) -> bool:
-    """Whether t is Y-free and eta-long beta-normal: _expand leaves it as it is."""
-    if contains_y(t):
-        return False
-    ty = type_of(t)
-    try:
-        return _expand(t, ty, set()) == t  # names are drawn only if t is not long
-    except ValueError:
-        return False
+    """Whether t is Y-free and eta-long beta-normal: its long normal form."""
+    return not contains_y(t) and long_normal_form(t) == t
 
 
 @dataclass(frozen=True)
@@ -281,7 +343,6 @@ def classify_properness(t: Term) -> Properness:
     """Proper or Improper(witness path); input must be a long normal form."""
     if not is_long_normal(t):
         raise ValueError("classify_properness requires a long beta-eta normal form")
-
     found = _search(t, lambda s: isinstance(s, OmegaConst) or None, postorder=False)
     return Proper() if found is None else Improper(tuple(step for _, step in found[1]))
 
@@ -334,48 +395,15 @@ def eliminate_omega(t: Term, numeral_args: int | None = None) -> Term:
         )
     alphas, alpha = _numeral_chain(ty, numeral_args)
     k = len(alphas)
-    betas = argument_types(alpha)
-    prefix_len = k + 2 + len(betas)
-
     long = long_normal_form(t)
-    binders: list[tuple[str, SimpleType]] = []
+    prefix: list[Term] = []  # the variables of n1...nk, f, z, b1...bl
     body = long
-    for _ in range(prefix_len):
-        assert isinstance(body, Lam)
-        binders.append((body.var, body.var_ty))
+    for _ in range(k + 2 + len(argument_types(alpha))):
+        prefix.append(Var(body.var, body.var_ty))
         body = body.body
-
-    # Freshen the binders the replacement spine mentions, innermost first,
-    # so bottoms under shadowing binders cannot be captured.  A binder only
-    # needs a new name when some inner abstraction rebinds it or a later
-    # prefix binder repeats it.
-    avoid = set(all_names(long))
-    inner_binders = {s.var for s in subterms(body) if isinstance(s, Lam)}
-    taken: set[str] = set()
-    for idx in range(prefix_len - 1, k, -1):
-        name, bty = binders[idx]
-        if name in inner_binders or name in taken:
-            renamed = fresh_name(name, avoid)
-            body = _subst(body, Var(name, bty), Var(renamed, bty))
-            binders[idx] = (renamed, bty)
-            name = renamed
-        taken.add(name)
-        avoid.add(name)
-
-    spine: Term = Var(binders[k + 1][0], alpha)
-    for (bname, bty) in binders[k + 2:]:
-        spine = App(spine, Var(bname, bty))
-
-    def replace(s: Term) -> Term:
-        if isinstance(s, OmegaConst):
-            assert s.ty == GROUND
-            return spine
-        return s
-
-    body = map_leaves(body, replace)
-    for name, bty in reversed(binders):
-        body = Lam(name, bty, body)
-    return body
+    spine = reduce(App, prefix[k + 2:], prefix[k + 1])
+    # No binder in a long normal form shadows another, so spine is not captured.
+    return map_leaves(long, lambda s: spine if isinstance(s, OmegaConst) else s)
 
 
 def decode_numeral(t: Term, alpha: SimpleType) -> int | None:
@@ -452,6 +480,7 @@ def enumerate_long_normal_forms(ty: SimpleType, max_size: int) -> list[Term]:
 
 __all__ = [
     "DEFAULT_FUEL",
+    "BlackHoleError",
     "FuelExhausted",
     "Improper",
     "Normal",
@@ -469,5 +498,4 @@ __all__ = [
     "step_innermost",
     "step_normal_order",
     "term_size",
-    "unwind_spine",
 ]

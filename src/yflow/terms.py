@@ -13,8 +13,8 @@ surface names are kept for printing and survive serialization unchanged.
 Terms are as deep as the numerals they compute, so no walker spends a
 Python frame per nesting level.  fold is the one post-order traversal,
 on an explicit stack; alpha keys, typing, leaf mapping, the tagged tree
-and the printer are folds.  free_vars, substitution (the normalizer's
-inner loop) and tree_to_term have stack loops of their own.
+and the printer are folds.  free_vars, substitution (the step
+normalizer's inner loop) and tree_to_term have stack loops of their own.
 """
 
 from __future__ import annotations
@@ -383,15 +383,22 @@ def y_tilde(n: int, ty: SimpleType) -> Term:
 
 
 def y_truncate(t: Term, depths: Mapping[SimpleType, int]) -> Term:
-    """Replace each Y{s} by y_tilde(depths[s], s).
+    """Replace each Y{s} by y_tilde(depths[s], s); ValueError naming every
+    recursion type in t without a depth entry."""
+    missing: set[SimpleType] = set()
 
-    Every recursion type occurring in t must have a depth entry.
-    """
-    missing = y_types(t) - set(depths)
+    def leaf(s: Term) -> Term:
+        if isinstance(s, YConst):
+            if s.ty in depths:
+                return y_tilde(depths[s.ty], s.ty)
+            missing.add(s.ty)
+        return s
+
+    out = map_leaves(t, leaf)
     if missing:
         listed = ", ".join(sorted(type_to_str(ty) for ty in missing))
         raise ValueError(f"no truncation depth for recursion type(s): {listed}")
-    return map_leaves(t, lambda s: y_tilde(depths[s.ty], s.ty) if isinstance(s, YConst) else s)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@ and not on the solver under test.
 The reduction oracles at the end are the plain recursive walkers that
 yflow.reduction replaced with one explicit-stack search: they spend a
 Python frame per nesting level, so they only serve shallow terms.
+oracle_expand is the long-form route yflow.reduction replaced with
+normalization by evaluation: eta-expand a beta-eta normal form head by
+head.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 
-from yflow.reduction import unwind_spine
 from yflow.semantics import Element, bottom_element, height
-from yflow.terms import App, Lam, OmegaConst, Term, Var, YConst, _subst, free_vars
+from yflow.terms import App, Lam, OmegaConst, Term, Var, YConst, _subst, free_vars, fresh_name
 from yflow.types import Arrow, Ground, SimpleType, argument_types
 
 
@@ -98,6 +100,16 @@ def oracle_lfp(f: Element) -> Element:
             return x
         x = y
     raise AssertionError(f"no fixed point within height of {f.ty.domain}")
+
+
+def unwind_spine(t: Term) -> tuple[Term, list[Term]]:
+    """Split h M1 ... Mk into (h, [M1, ..., Mk])."""
+    args: list[Term] = []
+    while isinstance(t, App):
+        args.append(t.arg)
+        t = t.fun
+    args.reverse()
+    return t, args
 
 
 def _oracle_eta_contractum(t: Lam) -> Term | None:
@@ -174,3 +186,42 @@ def oracle_is_long_shape(s: Term, expect: SimpleType) -> bool:
     if len(spine) != len(expected):
         return False
     return all(oracle_is_long_shape(arg, arg_ty) for arg, arg_ty in zip(spine, expected))
+
+
+def oracle_expand(t: Term, ty: SimpleType, used: set[str]) -> Term:
+    """Eta-expand the beta-normal t of type ty, drawing new binders e1, e2,
+    ... (not in used) in preorder; ValueError on a spine headed by a redex."""
+    out: list[Term] = []
+    # (term, type) pairs to expand, and build marks: None for an
+    # application, (binder, type) for an abstraction.
+    todo: list = [(t, ty)]
+    while todo:
+        item = todo.pop()
+        if item is None:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+            continue
+        body, body_ty = item
+        if isinstance(body, str):  # an abstraction mark
+            out[-1] = Lam(body, body_ty, out[-1])
+            continue
+        binders = []
+        for a in argument_types(body_ty):
+            if isinstance(body, Lam):
+                binders.append((body.var, body.var_ty))
+                body = body.body
+            else:
+                name = fresh_name(f"e{len(binders) + 1}", used)
+                used.add(name)
+                binders.append((name, a))
+                body = App(body, Var(name, a))
+        head, spine = unwind_spine(body)
+        if not isinstance(head, (Var, OmegaConst)):
+            raise ValueError(f"not beta-normal: a spine has head {head!r}")
+        expected = argument_types(head.ty)
+        assert len(expected) == len(spine), "ground spine must be fully applied"
+        out.append(head)
+        todo += binders
+        for arg, arg_ty in reversed(list(zip(spine, expected))):
+            todo += (None, (arg, arg_ty))
+    return out[0]
