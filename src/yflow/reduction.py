@@ -311,8 +311,27 @@ def long_normal_form(t: Term) -> Term:
 
 
 def is_long_normal(t: Term) -> bool:
-    """Whether t is Y-free and eta-long beta-normal: its long normal form."""
-    return not contains_y(t) and long_normal_form(t) == t
+    """Whether t is its own long normal form: every abstraction prefix
+    matches the arity of its type, and every spine is a variable or a
+    bottom constant (so no Y) applied to a full argument list."""
+    todo = [(t, type_of(t))]
+    while todo:
+        s, ty = todo.pop()
+        for _ in argument_types(ty):
+            if not isinstance(s, Lam):
+                return False
+            s = s.body
+        spine = []  # the arguments, last first
+        while isinstance(s, App):
+            spine.append(s.arg)
+            s = s.fun
+        if not isinstance(s, (Var, OmegaConst)):
+            return False
+        expected = argument_types(s.ty)
+        if len(spine) != len(expected):
+            return False
+        todo += zip(spine, reversed(expected))
+    return True
 
 
 @dataclass(frozen=True)

@@ -33,14 +33,16 @@ one neither retypes nor re-walks the term.  Each constant compiles to
 one shared element, and bottom and top elements share their codomain
 elements, so a mask forced once is reused.
 
-Domains are enumerated once per process and cached; insertion holds a
-lock, so concurrent readers are safe.  The canonical element order is
-lexicographic on tables over the canonically ordered argument domain,
-which is the numeric order of masks and always a linear extension of
-the pointwise order; consequently index 0 is the least element (mask 0)
-and the last index the greatest (all ones).  In a lattice of up-sets
-one element covers another exactly when it adds a single point, so the
-Hasse diagram comes from one-point additions to each mask.
+A domain is its ascending mask list, enumerated once per process and
+cached; insertion holds a lock, so concurrent readers are safe.  Its
+elements, index and renderings are built on demand.  The canonical
+element order is lexicographic on tables over the canonically ordered
+argument domain, which is the numeric order of masks and always a
+linear extension of the pointwise order; consequently index 0 is the
+least element (mask 0) and the last index the greatest (all ones).  In
+a lattice of up-sets one element covers another exactly when it adds a
+single point, so the Hasse diagram comes from one-point additions to
+each mask.
 
 Chain heights multiply out: the longest chain adds one point at a time,
 so its length is the product of the argument domain sizes.  This lets
@@ -126,7 +128,7 @@ class Element:
         if not isinstance(self.ty, Arrow):
             raise ValueError("ground element cannot be applied")
         dom = enumerate_domain(self.ty.domain)
-        return self._entry(dom.index_of(arg), len(dom.elements))
+        return self._entry(dom.index_of(arg), len(dom.masks))
 
     def _entry(self, i: int, n: int) -> "Element":
         """The table entry at argument index i of n, sliced from the mask."""
@@ -194,26 +196,40 @@ def top_element(ty: SimpleType) -> Element:
 
 
 class Domain:
-    """A fully enumerated domain with its canonical element order."""
+    """A fully enumerated domain: its masks in ascending canonical order.
+    Element objects and the mask index are built on first use."""
 
-    __slots__ = ("ty", "elements", "_index")
+    __slots__ = ("ty", "masks", "width", "_elements", "_index")
 
-    def __init__(self, ty: SimpleType, elements: tuple[Element, ...]):
-        self.ty = ty
-        self.elements = elements
-        self._index = {el.mask(): i for i, el in enumerate(elements)}
+    def __init__(self, ty: SimpleType, masks: list[int], width: int):
+        self.ty, self.masks, self.width = ty, masks, width  # width: height(ty)
+        self._elements = self._index = None
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.masks)
+
+    @property
+    def elements(self) -> tuple[Element, ...]:
+        if self._elements is None:
+            ty, width = self.ty, self.width
+            self._elements = tuple(Element(ty, None, m, width) for m in self.masks)
+        return self._elements
+
+    def element(self, i: int) -> Element:
+        return Element(self.ty, None, self.masks[i], self.width)
+
+    def _build_index(self) -> dict[int, int]:
+        self._index = {m: i for i, m in enumerate(self.masks)}
+        return self._index
 
     def index_of(self, el: Element) -> int:
-        i = self._index.get(el.mask())
+        i = (self._index or self._build_index()).get(el.mask())
         if i is None:
             raise ValueError(f"no element {render_element(el)} in domain {self.ty}")
         return i
 
     def leq(self, i: int, j: int) -> bool:
-        return self.elements[i]._mask & ~self.elements[j]._mask == 0
+        return self.masks[i] & ~self.masks[j] == 0
 
     def covers(self) -> list[tuple[int, int]]:
         """Edges of the Hasse diagram as sorted (lower, upper) index pairs.
@@ -221,27 +237,29 @@ class Domain:
         An upper cover adds one point, so each element looks up its mask
         plus each missing bit; lower bits first gives ascending uppers.
         """
-        index = self._index
-        full = self.elements[-1]._mask
+        index = self._index or self._build_index()
+        full = self.masks[-1]
         out = []
-        for i, el in enumerate(self.elements):
-            missing = full & ~el._mask
+        for i, mask in enumerate(self.masks):
+            missing = full & ~mask
             while missing:
                 bit = missing & -missing
                 missing ^= bit
-                j = index.get(el._mask | bit)
+                j = index.get(mask | bit)
                 if j is not None:
                     out.append((i, j))
         return out
 
 
 _domain_cache: dict[SimpleType, Domain] = {}
+_rendered: dict[tuple[int, tuple[int, ...]], str] = {}  # (mask, argument sizes) -> table
 _cache_lock = threading.Lock()
 
 
 def clear_domain_cache() -> None:
     with _cache_lock:
         _domain_cache.clear()
+        _rendered.clear()
 
 
 def enumerate_domain(ty: SimpleType) -> Domain:
@@ -256,62 +274,67 @@ def enumerate_domain(ty: SimpleType) -> Domain:
             raise DomainTooLarge(ty, str(len(cached)))
         return cached
     if ty == GROUND:
-        dom = Domain(ty, (Element.of_bool(False), Element.of_bool(True)))
+        dom = Domain(ty, [0, 1], 1)
     else:
         dom = _enumerate_arrow(ty)
-    assert dom.elements[0].mask() == 0, "least element must come first"
-    assert dom.elements[-1].mask() == (1 << height(ty)) - 1, (
-        "greatest element must come last")
+    assert dom.masks[0] == 0, "least element must come first"
+    assert dom.masks[-1] == (1 << height(ty)) - 1, "greatest element must come last"
     with _cache_lock:
         return _domain_cache.setdefault(ty, dom)
 
 
 def _enumerate_arrow(ty: Arrow) -> Domain:
-    dom = enumerate_domain(ty.domain)
-    cod_masks = [el.mask() for el in enumerate_domain(ty.codomain).elements]
-    n = len(dom)
-    bits = height(ty.codomain)
-    # Monotone on the covers of the argument order means monotone; the
-    # canonical order is a linear extension, so lower covers come first.
+    """Every monotone table over the argument domain, masks ascending.
+
+    Monotone on the covers of the argument order means monotone, and the
+    canonical order is a linear extension, so tables fill left to right.
+    The completions of positions i.. depend only on the masks at i's
+    frontier, the earlier positions covered by i or a later position, so
+    they are memoized on those, with one stack frame per open position.
+    """
+    dom, cod = enumerate_domain(ty.domain), enumerate_domain(ty.codomain)
+    n, bits, limit = len(dom), cod.width, _default_size_limit
+    covers = dom.covers()
     preds: list[list[int]] = [[] for _ in range(n)]
-    for i, j in dom.covers():
+    for i, j in covers:
         preds[j].append(i)
-    above: dict[int, list[int]] = {}  # lower bound -> codomain masks over it
-    chosen = [0] * n  # the codomain mask chosen at each position
-    packed = [0] * n  # packed[i]: the masks chosen at positions below i, shifted together
-
-    def candidates(i: int) -> list[int]:
-        lb = 0
-        for j in preds[i]:
-            lb |= chosen[j]
-        out = above.get(lb)
-        if out is None:
-            out = above[lb] = [v for v in cod_masks if lb & ~v == 0]
-        return out
-
-    # Candidates ascend and positions fill left to right, so masks ascend.
-    masks: list[int] = []
-    last = n - 1
-    stack = [iter(candidates(0))]
-    while stack:
-        i = len(stack)  # stack[-1] chooses position i - 1
-        v = next(stack[-1], None)
+    # leave[k]: the positions that no position from k on reads; covers
+    # are sorted, so dict(covers) maps a position to its last reader
+    last = dict(covers)
+    leave: list[list[int]] = [[] for _ in range(n + 1)]
+    for j in range(n):
+        leave[last.get(j, j) + 1].append(j)
+    chosen = [0] * n
+    memo: list[dict[int, list[int]]] = [{} for _ in range(n)] + [{0: [0]}]
+    # A frame per open position i: the masks at i's frontier, j's at bit
+    # bits * j; the candidates left at i; the completions found so far.
+    stack = [(0, iter(cod.masks), [])]
+    sub = None  # the completions of i + 1 after chosen[i]
+    while True:
+        i = len(stack) - 1
+        key, todo, out = stack[-1]
+        if sub is not None:
+            hi = chosen[i] << bits * (n - 1 - i)
+            out += [hi | s for s in sub]
+            if len(out) > limit:
+                raise DomainTooLarge(ty, f"more than {limit}")
+        v = next(todo, None)
         if v is None:
+            sub = memo[i][key] = out
             stack.pop()
+            if not stack:
+                return Domain(ty, out, n * bits)
             continue
-        chosen[i - 1] = v
-        packed[i] = packed[i - 1] << bits | v
-        if i < last:
-            stack.append(iter(candidates(i)))
-            continue
-        # every candidate at the last position completes a row
-        base = packed[i] << bits
-        masks.extend([base | w for w in candidates(i)])
-        if len(masks) > _default_size_limit:
-            raise DomainTooLarge(ty, f"more than {_default_size_limit}")
-
-    width = n * bits
-    return Domain(ty, tuple(Element(ty, mask=m, width=width) for m in masks))
+        chosen[i] = v
+        key |= v << bits * i
+        for j in leave[i + 1]:
+            key ^= chosen[j] << bits * j
+        sub = memo[i + 1].get(key)
+        if sub is None:
+            lb = 0
+            for j in preds[i + 1]:
+                lb |= chosen[j]
+            stack.append((key, iter([w for w in cod.masks if lb & ~w == 0]), []))
 
 
 def cardinality(ty: SimpleType) -> int:
@@ -393,7 +416,7 @@ def lfp(f: Element) -> Element:
     def evaluate(p: tuple) -> bool:
         x = f.apply(at_point(read))
         for dom, i in zip(doms, p):
-            x = x.apply(dom.elements[i])
+            x = x.apply(dom.element(i))
         return x.flag
 
     def value(p: tuple) -> bool:
@@ -494,16 +517,21 @@ def probe_s(ty: SimpleType) -> Element:
 def render_element(el: Element) -> str:
     """Nested table over the canonical argument domains; bot/top at ground."""
     mask = el.mask()
-    return _render(mask, el._width, [len(enumerate_domain(a)) for a in argument_types(el.ty)])
+    return _render(mask, el._width, tuple(len(enumerate_domain(a)) for a in argument_types(el.ty)))
 
 
-def _render(mask: int, width: int, sizes: list[int]) -> str:
+def _render(mask: int, width: int, sizes: tuple[int, ...]) -> str:
+    """A table's rendering; sub-tables repeat, so each is rendered once
+    until clear_domain_cache."""
     if not sizes:
         return "top" if mask else "bot"
-    bits = width // sizes[0]
-    low = (1 << bits) - 1
-    return "[" + ", ".join(
-        _render(mask >> bits * k & low, bits, sizes[1:]) for k in reversed(range(sizes[0]))) + "]"
+    out = _rendered.get((mask, sizes))
+    if out is None:
+        bits = width // sizes[0]
+        out = _rendered[mask, sizes] = "[" + ", ".join(
+            _render(mask >> bits * k & (1 << bits) - 1, bits, sizes[1:])
+            for k in reversed(range(sizes[0]))) + "]"
+    return out
 
 
 def dump_domain(dom: Domain) -> str:

@@ -10,7 +10,9 @@ eye, computed by a different route than the code under test.
 oracle_lfp is the exception: it is the Kleene iteration yflow.semantics
 replaced with a demand-driven solver, forcing every iterate's whole table
 through the package's elements, so its answers rest on the elements alone
-and not on the solver under test.
+and not on the solver under test.  oracle_enumerate_masks is another: the
+plain depth-first enumeration yflow.semantics replaced with one memoized
+on frontiers, reading the argument and codomain domains from the package.
 
 The reduction oracles at the end are the plain recursive walkers that
 yflow.reduction replaced with one explicit-stack search: they spend a
@@ -25,7 +27,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 
-from yflow.semantics import Element, bottom_element, height
+from yflow.semantics import Element, bottom_element, enumerate_domain, height
 from yflow.terms import App, Lam, OmegaConst, Term, Var, YConst, _subst, free_vars, fresh_name
 from yflow.types import Arrow, Ground, SimpleType, argument_types
 
@@ -100,6 +102,54 @@ def oracle_lfp(f: Element) -> Element:
             return x
         x = y
     raise AssertionError(f"no fixed point within height of {f.ty.domain}")
+
+
+def oracle_enumerate_masks(ty: SimpleType) -> list[int]:
+    """The masks of the domain at ty in ascending order, by a depth-first
+    search over tables that fills positions left to right."""
+    if isinstance(ty, Ground):
+        return [0, 1]
+    dom = enumerate_domain(ty.domain)
+    cod_masks = enumerate_domain(ty.codomain).masks
+    n = len(dom)
+    bits = height(ty.codomain)
+    # Monotone on the covers of the argument order means monotone; the
+    # canonical order is a linear extension, so lower covers come first.
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for i, j in dom.covers():
+        preds[j].append(i)
+    above: dict[int, list[int]] = {}  # lower bound -> codomain masks over it
+    chosen = [0] * n  # the codomain mask chosen at each position
+    packed = [0] * n  # packed[i]: the masks chosen at positions below i, shifted together
+
+    def candidates(i: int) -> list[int]:
+        lb = 0
+        for j in preds[i]:
+            lb |= chosen[j]
+        out = above.get(lb)
+        if out is None:
+            out = above[lb] = [v for v in cod_masks if lb & ~v == 0]
+        return out
+
+    # Candidates ascend and positions fill left to right, so masks ascend.
+    masks: list[int] = []
+    last = n - 1
+    stack = [iter(candidates(0))]
+    while stack:
+        i = len(stack)  # stack[-1] chooses position i - 1
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            continue
+        chosen[i - 1] = v
+        packed[i] = packed[i - 1] << bits | v
+        if i < last:
+            stack.append(iter(candidates(i)))
+            continue
+        # every candidate at the last position completes a row
+        base = packed[i] << bits
+        masks.extend([base | w for w in candidates(i)])
+    return masks
 
 
 def unwind_spine(t: Term) -> tuple[Term, list[Term]]:

@@ -3,6 +3,7 @@
 import pytest
 
 from oracles import oracle_is_long_shape, oracle_step_innermost, oracle_step_normal_order
+import term_corpus
 from term_corpus import lambda_y_corpus, omega_corpus
 from yflow.parser import parse_term, parse_type
 from yflow.printer import term_to_str
@@ -26,6 +27,7 @@ from yflow.reduction import (
 from yflow.terms import (
     App,
     Lam,
+    Term,
     Var,
     church_numeral,
     contains_omega,
@@ -172,8 +174,35 @@ def test_classify_properness():
 
 
 def test_classify_properness_requires_long_form():
-    with pytest.raises(ValueError):
-        classify_properness(parse_term(r"\f:o->o. f"))
+    eta_short, beta_redex = r"\f:o->o. f", r"\f:o->o. (\x:o. f x) Omega{o}"
+    for text in (eta_short, beta_redex):
+        with pytest.raises(ValueError):
+            classify_properness(parse_term(text))
+
+
+def _corpus_terms():
+    """Every term tests/term_corpus.py holds or builds."""
+    out = omega_corpus() + lambda_y_corpus()
+    for value in vars(term_corpus).values():
+        if isinstance(value, Term):
+            out.append(value)
+        elif isinstance(value, list):
+            out += [t for t in value if isinstance(t, Term)]
+    return out
+
+
+def test_is_long_normal_agrees_with_the_long_normal_form():
+    # the structural walk against its definition through the normalizer
+    checked = 0
+    for t in _corpus_terms():
+        if contains_y(t):
+            assert not is_long_normal(t), term_to_str(t)
+            continue
+        lnf = long_normal_form(t)
+        assert is_long_normal(t) == (lnf == t), term_to_str(t)
+        assert is_long_normal(lnf), term_to_str(t)
+        checked += 1
+    assert checked > 250
 
 
 def test_eliminate_omega_simple():

@@ -1,11 +1,20 @@
 """Finite domains against the brute-force oracle, evaluation soundness,
 fixed points, and the test/probe elements."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import yflow.semantics as semantics
-from oracles import oracle_cardinality, oracle_elements, oracle_height, oracle_leq, oracle_lfp
+from oracles import (
+    oracle_cardinality,
+    oracle_elements,
+    oracle_enumerate_masks,
+    oracle_height,
+    oracle_leq,
+    oracle_lfp,
+)
 from term_corpus import HIGHER_Y_CORPUS, NESTED3, SWAP3, SWAP3_STEP, omega_corpus
 from yflow.parser import parse_term, parse_type
 from yflow.reduction import assured_normalize
@@ -14,6 +23,7 @@ from yflow.semantics import (
     Element,
     bottom_element,
     cardinality,
+    clear_domain_cache,
     default_size_limit,
     enumerate_domain,
     eval_term,
@@ -103,8 +113,8 @@ def test_bottom_and_top_indices():
     for s in SMALL_TYPES:
         ty = parse_type(s)
         dom = enumerate_domain(ty)
-        assert dom.elements[0] == bottom_element(ty)
-        assert dom.elements[-1] == top_element(ty)
+        assert dom.elements[0] == dom.element(0) == bottom_element(ty)
+        assert dom.elements[-1] == dom.element(len(dom) - 1) == top_element(ty)
 
 
 def test_covers_ground():
@@ -126,6 +136,35 @@ def test_size_limit_enforced():
             enumerate_domain(parse_type("(o->o)->o->o"))
     finally:
         set_default_size_limit(saved)
+
+
+def test_size_limit_stops_a_deep_enumeration_early():
+    # 7,581 argument positions: a stack frame per position would pass the
+    # interpreter's recursion limit long before the size limit is reached
+    saved = default_size_limit()
+    clear_domain_cache()
+    try:
+        set_default_size_limit(10_000)
+        started = time.process_time()
+        with pytest.raises(DomainTooLarge):
+            enumerate_domain(parse_type("(o->o->o->o->o->o)->o"))
+        assert time.process_time() - started < 1.0
+        assert len(enumerate_domain(parse_type("o->o->o->o->o->o"))) == 7_581
+    finally:
+        set_default_size_limit(saved)
+
+
+@pytest.mark.parametrize("s", ORDER_TYPES + [
+    "(o->o->o)->o->o->o", "((o->o)->o->o)->(o->o)->o->o"])
+def test_enumeration_matches_the_depth_first_oracle(s):
+    ty = parse_type(s)
+    masks = enumerate_domain(ty).masks
+    assert masks == oracle_enumerate_masks(ty)
+    assert masks[0] == 0 and masks[-1] == (1 << height(ty)) - 1
+
+
+def test_domain_at_w_to_w_has_120549_elements():
+    assert cardinality(parse_type("((o->o)->o->o)->(o->o)->o->o")) == 120_549
 
 
 def test_elements_are_monotone():
