@@ -13,7 +13,6 @@ from .analysis import (
     certified_normalize,
     has_head_normal_form,
     has_normal_form,
-    proper_nf_equal,
     tilde_Y,
     truncation_depths,
 )
@@ -72,7 +71,6 @@ from .terms import (
     church_numeral,
     match_numeral,
     omega_tilde,
-    substitute,
     term_from_json,
     term_to_json,
     tilde_omega_map,

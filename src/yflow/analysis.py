@@ -129,21 +129,12 @@ def certified_normalize(t: Term, report: AnalysisReport | None = None) -> Term |
     return nf
 
 
-def proper_nf_equal(a: Term, b: Term) -> bool:
-    """Whether two constant-free-normalizable terms share a normal form."""
-    na, nb = certified_normalize(a), certified_normalize(b)
-    if na is None or nb is None:
-        return False
-    return na == nb
-
-
 __all__ = [
     "AnalysisInvariantError",
     "AnalysisReport",
     "certified_normalize",
     "has_head_normal_form",
     "has_normal_form",
-    "proper_nf_equal",
     "tilde_Y",
     "truncation_depths",
 ]

@@ -33,8 +33,8 @@ from .parser import ParseError, parse_term, parse_type
 from .printer import term_to_str
 from .reduction import (
     DEFAULT_FUEL,
-    STRATEGIES,
-    FuelExhausted,
+    BlackHoleError,
+    Normal,
     classify_properness,
     eliminate_omega,
     long_normal_form,
@@ -180,32 +180,33 @@ def typecheck_cmd(term_text, file, as_json):
 @main.command("normalize")
 @term_options
 @click.option("--fuel", type=click.IntRange(min=0), default=DEFAULT_FUEL, show_default=True,
-              help="Reduction step budget.")
-@click.option("--strategy", type=click.Choice(sorted(STRATEGIES)),
-              default="normal-order", show_default=True)
+              help="Contraction budget: beta steps and Y unfoldings.")
 @sugar_option
 @json_option
 @guarded
-def normalize_cmd(term_text, file, fuel, strategy, no_sugar, as_json):
+def normalize_cmd(term_text, file, fuel, no_sugar, as_json):
     """Reduce to beta-eta normal form within the fuel budget.
 
-    Exit 1 when the budget runs out."""
+    Exit 1 when the budget runs out or the term has no normal form."""
     t = _read_term(term_text, file)
-    outcome = normalize(t, fuel=fuel, strategy=strategy)
-    if isinstance(outcome, FuelExhausted):
-        if as_json:
-            _echo_json({"normalized": False, "fuel": outcome.fuel,
-                        "last_term": term_to_str(outcome.last_term,
-                                                 sugar=not no_sugar)})
-        else:
-            _echo(f"fuel exhausted after {outcome.fuel} steps", err=True)
-            _echo(term_to_str(outcome.last_term, sugar=not no_sugar))
-        sys.exit(1)
-    if as_json:
-        _echo_json({"normalized": True, "steps": outcome.steps,
-                    "term": term_to_str(outcome.term, sugar=not no_sugar)})
+    try:
+        outcome = normalize(t, fuel=fuel)
+    except BlackHoleError as e:
+        reason, message = "black hole", f"no normal form: {e}"
     else:
-        _echo(term_to_str(outcome.term, sugar=not no_sugar))
+        if isinstance(outcome, Normal):
+            if as_json:
+                _echo_json({"normalized": True, "steps": outcome.steps,
+                            "term": term_to_str(outcome.term, sugar=not no_sugar)})
+            else:
+                _echo(term_to_str(outcome.term, sugar=not no_sugar))
+            return
+        reason, message = "fuel exhausted", f"fuel exhausted after {fuel} steps"
+    if as_json:
+        _echo_json({"normalized": False, "fuel": fuel, "reason": reason})
+    else:
+        _echo(message, err=True)
+    sys.exit(1)
 
 
 @main.command("long-nf")

@@ -1,15 +1,16 @@
-"""Normal forms, by fuel-bounded reduction or by evaluation.
+"""Normal forms by evaluation, properness, bottom elimination, decoding.
 
-normalize contracts one redex at a time (beta, eta, Y f -> f (Y f))
-within a step budget; running out is data, not an error.  Its
-leftmost-outermost strategy reaches a normal form whenever one exists,
-and an innermost one is kept for cross-checking; both are one search on
-an explicit stack.  assured_normalize and long_normal_form normalize by
-evaluation instead: a lazy Krivine machine reduces to weak head normal
-form, sharing each argument as a thunk forced at most once (Y{s} a is a
-thunk x = a x), and a readback loop on its own stack evaluates under
-binders.  Y-free terms are strongly normalizing, so both terminate on
-them.  Properness and bottom elimination act on long forms.
+One normalizer serves every caller: a lazy Krivine machine reduces to
+weak head normal form, sharing each argument as a thunk forced at most
+once (Y{s} a is a thunk x = a x), and a readback loop on its own stack
+evaluates under binders (Cregut, "Strongly reducing variants of the
+Krivine abstract machine", HOSC 2007).  normalize bounds the machine's
+contractions, beta steps and Y unfoldings, by a budget; running out is
+data, not an error.  assured_normalize and long_normal_form run it
+unbounded: Y-free terms are strongly normalizing, so both terminate on
+them.  A thunk needed while it is being forced is a black hole, a term
+with no normal form.  Properness and bottom elimination act on long
+forms.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .terms import (
     Term,
     Var,
     YConst,
-    _subst,
     contains_y,
     free_vars,
     fresh_name,
@@ -49,7 +49,7 @@ DEFAULT_FUEL = 100_000
 
 @dataclass(frozen=True)
 class Normal:
-    """A normal form, with the number of contractions performed."""
+    """A normal form, with the number of contractions the machine made."""
 
     term: Term
     steps: int
@@ -57,114 +57,21 @@ class Normal:
 
 @dataclass(frozen=True)
 class FuelExhausted:
-    """Fuel ran out; last_term is the term after `fuel` contractions."""
+    """No normal form is reached within `fuel` contractions."""
 
-    last_term: Term
     fuel: int
 
 
 NormalizationOutcome = Normal | FuelExhausted
 
 
-def _contractum(s: Term) -> Term | None:
-    """What s contracts to when s itself is a redex, else None."""
-    if isinstance(s, App):
-        if isinstance(s.fun, Lam):
-            return _subst(s.fun.body, Var(s.fun.var, s.fun.var_ty), s.arg)
-        if isinstance(s.fun, YConst):
-            return App(s.arg, s)
-    elif isinstance(s, Lam):
-        b = s.body
-        if (
-            isinstance(b, App)
-            and isinstance(b.arg, Var)
-            and b.arg.name == s.var
-            and b.arg.ty == s.var_ty
-            and s.var not in free_vars(b.fun)
-        ):
-            return b.fun
-    return None
-
-
-def _search(t: Term, probe, postorder: bool):
-    """(probe(s), path) for the first subterm s of t, left to right in
-    preorder or in postorder, where probe(s) is not None; else None.
-
-    The explicit stack is the path itself: the (node, step) pairs from t
-    down to s, where step names the field of node leading towards s.
-    """
-    path: list[tuple[Term, str]] = []
-    s = t
-    while True:
-        if not postorder and (hit := probe(s)) is not None:
-            return hit, path
-        if isinstance(s, App):
-            path.append((s, "fun"))
-            s = s.fun
-        elif isinstance(s, Lam):
-            path.append((s, "body"))
-            s = s.body
-        else:  # climb from a leaf to the next argument to the right
-            while True:
-                if postorder and (hit := probe(s)) is not None:
-                    return hit, path
-                if not path:
-                    return None
-                s, step = path.pop()
-                if step == "fun":
-                    path.append((s, "arg"))
-                    s = s.arg
-                    break
-
-
-def _step(t: Term, innermost: bool) -> Term | None:
-    found = _search(t, _contractum, innermost)
-    if found is None:
-        return None
-    out, path = found
-    for node, step in reversed(path):
-        if step == "body":
-            out = Lam(node.var, node.var_ty, out)
-        else:
-            out = App(out, node.arg) if step == "fun" else App(node.fun, out)
-    return out
-
-
-def step_normal_order(t: Term) -> Term | None:
-    """Contract the leftmost-outermost redex, or None if t is normal."""
-    return _step(t, innermost=False)
-
-
-def step_innermost(t: Term) -> Term | None:
-    """Contract the leftmost-innermost redex, or None if t is normal."""
-    return _step(t, innermost=True)
-
-
-STRATEGIES = {
-    "normal-order": step_normal_order,
-    "innermost": step_innermost,
-}
-
-
-def normalize(t: Term, fuel: int = DEFAULT_FUEL,
-              strategy: str = "normal-order") -> NormalizationOutcome:
-    """Reduce for at most `fuel` contractions.  Deterministic and total."""
-    step = STRATEGIES[strategy]
-    steps = 0
-    while steps < fuel:
-        s = step(t)
-        if s is None:
-            return Normal(t, steps)
-        t = s
-        steps += 1
-    if step(t) is None:
-        return Normal(t, steps)
-    return FuelExhausted(t, fuel)
-
-
 class BlackHoleError(RuntimeError):
-    """A thunk was needed while it was being forced: its weak head normal
-    form depends on itself, so the term has no normal form."""
+    """A thunk was needed while it was being forced, or, under a budget,
+    reached within its own readback: its value or normal form needs itself."""
+
+
+class _OutOfFuel(Exception):
+    """The machine reached its contraction limit."""
 
 
 _HOLE = object()  # the value of a thunk while it is being forced
@@ -180,10 +87,12 @@ class _Thunk:
         self.term, self.env, self.value = term, env, value
 
 
-def _eval(term: Term, env: dict, frames: list):
+def _eval(term: Term, env: dict, frames: list, steps: int, limit: int | None):
     """The weak head normal form of term in env applied to frames, a stack
-    of argument thunks (a lazy Krivine machine).  A thunk is forced once:
-    _UPDATE above it on frames marks where its value is written back.
+    of argument thunks (a lazy Krivine machine), paired with steps plus the
+    contractions made: beta steps and Y unfoldings.  A contraction past
+    limit raises _OutOfFuel.  A thunk is forced once: _UPDATE above it on
+    frames marks where its value is written back.
 
     A value is a closure (Lam, env), env mapping source names to thunks,
     or a neutral (head, args): a variable, a bottom or an unapplied Y
@@ -227,24 +136,34 @@ def _eval(term: Term, env: dict, frames: list):
                     args.append(frames.pop())
                 value = (head, rest + tuple(args))
         else:
-            return value
+            return value, steps
+        if steps == limit:  # only a contraction breaks out of the loop above
+            raise _OutOfFuel
+        steps += 1
 
 
-def _normal_form(t: Term, ty: SimpleType | None) -> Term:
-    """The beta normal form of t read back from its value, eta-long at type
-    ty, or eta-contracted when ty is None.
+def _normal_form(t: Term, ty: SimpleType | None, limit: int | None = None
+                 ) -> tuple[Term, int]:
+    """(t's beta normal form, the contractions made): the form is read back
+    from t's value, eta-long at type ty or eta-contracted when ty is None.
 
     Readback runs on a stack of (thunk, type) items, forcing each thunk it
-    reaches, and of build marks: None for an application, the bound
-    variable for an abstraction.  A source binder keeps its name, primed
-    against the names in scope and t's free names; the binder eta-expanding
-    the i-th argument is e<i>, primed against every name drawn so far.
-    No binder shadows another, so a name identifies its binder."""
+    reaches, and of marks: None builds an application, the bound variable
+    an abstraction, and, under a limit, a thunk ends its own readback.  A
+    thunk reached again before that would be read back forever with no
+    contraction to count, so it raises BlackHoleError; without Y, values
+    are acyclic and this cannot happen.  A source binder keeps its name,
+    primed against the names in scope and t's free names; the binder
+    eta-expanding the i-th argument is e<i>, primed against every name
+    drawn so far.  No binder shadows another, so a name identifies its
+    binder."""
     # t's free names and the names bound here, with their uses so far
     scope: dict[str, int] = dict.fromkeys(free_vars(t), 0)
     drawn = set(scope)
     out: list[Term] = []
     todo: list = [(_Thunk(t, {}), ty)]
+    steps = 0
+    reading: set[_Thunk] | None = None if limit is None else set()  # open readbacks
     while todo:
         item = todo.pop()
         if item is None:
@@ -257,26 +176,32 @@ def _normal_form(t: Term, ty: SimpleType | None) -> Term:
                 out[-1] = body.fun  # eta: the binder's one use is this argument
             else:
                 out[-1] = Lam(item.name, item.ty, body)
+        elif type(item) is _Thunk:
+            reading.remove(item)
         else:
             th, item_ty = item
+            if reading is not None:
+                if th in reading:
+                    raise BlackHoleError("a shared subterm's normal form contains itself")
+                reading.add(th)
+                todo.append(th)
             if th.value is None:
                 th.value = _HOLE
-                _eval(th.term, th.env, [th, _UPDATE])
+                steps = _eval(th.term, th.env, [th, _UPDATE], steps, limit)[1]
             value = th.value
             expand = argument_types(item_ty) if ty is not None else ()
             i = 0
             while type(value[0]) is Lam or i < len(expand):
                 head, rest = value
                 if type(head) is Lam:
-                    name = head.var
-                    while name in scope:
-                        name += "'"
-                    var = Var(name, head.var_ty)
+                    var = Var(fresh_name(head.var, scope), head.var_ty)
                 else:
                     var = Var(fresh_name(f"e{i + 1}", drawn), expand[i])
                 th = _Thunk(None, None, (var, ()))
-                value = (_eval(head.body, {**rest, head.var: th}, []) if type(head) is Lam
-                         else (head, rest + (th,)))
+                if type(head) is Lam:
+                    value, steps = _eval(head.body, {**rest, head.var: th}, [], steps, limit)
+                else:
+                    value = (head, rest + (th,))
                 i += 1
                 scope[var.name] = 0
                 drawn.add(var.name)
@@ -288,7 +213,17 @@ def _normal_form(t: Term, ty: SimpleType | None) -> Term:
             arg_tys = argument_types(head.ty) if ty is not None else (None,) * len(args)
             for arg, arg_ty in reversed(list(zip(args, arg_tys))):
                 todo += (None, (arg, arg_ty))
-    return out[0]
+    return out[0], steps
+
+
+def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> NormalizationOutcome:
+    """Normal if the machine reaches t's beta-eta normal form within `fuel`
+    contractions, beta steps and Y unfoldings (a shared argument is reduced
+    once), else FuelExhausted.  BlackHoleError when the machine finds none."""
+    try:
+        return Normal(*_normal_form(t, None, fuel))
+    except _OutOfFuel:
+        return FuelExhausted(fuel)
 
 
 def assured_normalize(t: Term) -> Term:
@@ -297,7 +232,7 @@ def assured_normalize(t: Term) -> Term:
     Terminates on every term without Y constants, and on any term that
     has a normal form; otherwise diverges, or raises BlackHoleError when
     a shared subterm needs its own value."""
-    return _normal_form(t, None)
+    return _normal_form(t, None)[0]
 
 
 def long_normal_form(t: Term) -> Term:
@@ -307,7 +242,7 @@ def long_normal_form(t: Term) -> Term:
     head is applied to a full argument list."""
     if contains_y(t):
         raise ValueError("long_normal_form applies to terms without Y constants")
-    return _normal_form(t, type_of(t))
+    return _normal_form(t, type_of(t))[0]
 
 
 def is_long_normal(t: Term) -> bool:
@@ -362,8 +297,20 @@ def classify_properness(t: Term) -> Properness:
     """Proper or Improper(witness path); input must be a long normal form."""
     if not is_long_normal(t):
         raise ValueError("classify_properness requires a long beta-eta normal form")
-    found = _search(t, lambda s: isinstance(s, OmegaConst) or None, postorder=False)
-    return Proper() if found is None else Improper(tuple(step for _, step in found[1]))
+    todo: list = [(t, ())]  # subterms with their paths as linked lists (step, rest)
+    while todo:
+        s, path = todo.pop()
+        if isinstance(s, OmegaConst):
+            steps = []
+            while path:
+                step, path = path
+                steps.append(step)
+            return Improper(tuple(reversed(steps)))
+        if isinstance(s, App):
+            todo += ((s.arg, ("arg", path)), (s.fun, ("fun", path)))
+        elif isinstance(s, Lam):
+            todo.append((s.body, ("body", path)))
+    return Proper()
 
 
 def _numeral_chain(ty: SimpleType, numeral_args: int | None):
@@ -514,7 +461,5 @@ __all__ = [
     "is_long_normal",
     "long_normal_form",
     "normalize",
-    "step_innermost",
-    "step_normal_order",
     "term_size",
 ]

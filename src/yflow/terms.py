@@ -13,8 +13,8 @@ surface names are kept for printing and survive serialization unchanged.
 Terms are as deep as the numerals they compute, so no walker spends a
 Python frame per nesting level.  fold is the one post-order traversal,
 on an explicit stack; alpha keys, typing, leaf mapping, the tagged tree
-and the printer are folds.  free_vars, substitution (the step
-normalizer's inner loop) and tree_to_term have stack loops of their own.
+and the printer are folds.  free_vars and tree_to_term have stack loops
+of their own.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Container, Iterator, Mapping
 
 from .types import (
     GROUND,
@@ -188,18 +188,7 @@ def free_vars(t: Term) -> dict[str, SimpleType]:
     return out
 
 
-def all_names(t: Term) -> set[str]:
-    """Every variable name occurring in t, bound or free, binders included."""
-    names = set()
-    for s in subterms(t):
-        if isinstance(s, Var):
-            names.add(s.name)
-        elif isinstance(s, Lam):
-            names.add(s.var)
-    return names
-
-
-def fresh_name(base: str, avoid: set[str]) -> str:
+def fresh_name(base: str, avoid: Container[str]) -> str:
     name = base
     while name in avoid:
         name += "'"
@@ -286,59 +275,6 @@ def match_numeral(t: Term) -> tuple[int, SimpleType] | None:
     if isinstance(body, Var) and body.name == inner.var and body.ty == alpha:
         return m, alpha
     return None
-
-
-def substitute(t: Term, var: Var, replacement: Term,
-               context: Mapping[str, SimpleType] | None = None) -> Term:
-    """Capture-avoiding substitution of replacement for the free variable var."""
-    if type_of(replacement, context) != var.ty:
-        raise TypingError(
-            f"cannot substitute a term of type {type_of(replacement, context)} "
-            f"for {var.name} : {var.ty}",
-            replacement,
-        )
-    return _subst(t, var, replacement)
-
-
-def _subst(t: Term, var: Var, replacement: Term) -> Term:
-    """Bottom-up: a node whose children come back unchanged is returned as
-    it is, so only the paths to the occurrences of var are rebuilt."""
-    repl_free: set[str] | None = None
-    out: list[Term] = []
-    # Terms to visit, and marks (node,) that rebuild node from its
-    # substituted children on out.
-    stack: list = [t]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, App):
-            stack += ((s,), s.arg, s.fun)
-        elif isinstance(s, Lam) and s.var != var.name:
-            stack += ((s,), s.body)
-        elif isinstance(s, Var) and s.name == var.name:
-            if s.ty != var.ty:
-                raise TypingError(f"occurrence of {s.name} has type {s.ty}", s)
-            out.append(replacement)
-        elif isinstance(s, Term):
-            out.append(s)
-        else:
-            (s,) = s
-            if isinstance(s, App):
-                arg = out.pop()
-                fun = out[-1]
-                out[-1] = s if fun is s.fun and arg is s.arg else App(fun, arg)
-            elif out[-1] is s.body:
-                out[-1] = s
-            else:
-                if repl_free is None:  # only read here, so collected on first need
-                    repl_free = set(free_vars(replacement))
-                if s.var not in repl_free:
-                    out[-1] = Lam(s.var, s.var_ty, out[-1])
-                    continue
-                out.pop()  # the binder would capture the replacement: rename it, then redo
-                name = fresh_name(s.var, repl_free | all_names(s.body) | {var.name})
-                body = _subst(s.body, Var(s.var, s.var_ty), Var(name, s.var_ty))
-                stack.append(Lam(name, s.var_ty, body))
-    return out[0]
 
 
 def map_leaves(t: Term, fn: Callable[[Term], Term]) -> Term:
@@ -465,7 +401,6 @@ __all__ = [
     "TypingError",
     "Var",
     "YConst",
-    "all_names",
     "church_numeral",
     "contains_omega",
     "contains_y",
@@ -478,7 +413,6 @@ __all__ = [
     "omega_tilde",
     "omega_types",
     "subterms",
-    "substitute",
     "term_from_json",
     "term_to_json",
     "term_to_tree",

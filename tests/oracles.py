@@ -14,21 +14,36 @@ and not on the solver under test.  oracle_enumerate_masks is another: the
 plain depth-first enumeration yflow.semantics replaced with one memoized
 on frontiers, reading the argument and codomain domains from the package.
 
-The reduction oracles at the end are the plain recursive walkers that
-yflow.reduction replaced with one explicit-stack search: they spend a
-Python frame per nesting level, so they only serve shallow terms.
-oracle_expand is the long-form route yflow.reduction replaced with
-normalization by evaluation: eta-expand a beta-eta normal form head by
-head.
+The reduction oracles at the end rewrite syntax, where yflow.reduction
+evaluates on a machine: capture-avoiding substitution, a recursive
+leftmost-outermost stepper that contracts one redex at a time (beta,
+eta, Y f -> f (Y f)), and oracle_normalize, which steps to a normal
+form.  The stepper spends a Python frame per nesting level, so it only
+serves shallow terms.  oracle_expand is the long-form route
+yflow.reduction replaced with normalization by evaluation: eta-expand a
+beta-eta normal form head by head.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import product
+from typing import Mapping
 
 from yflow.semantics import Element, bottom_element, enumerate_domain, height
-from yflow.terms import App, Lam, OmegaConst, Term, Var, YConst, _subst, free_vars, fresh_name
+from yflow.terms import (
+    App,
+    Lam,
+    OmegaConst,
+    Term,
+    TypingError,
+    Var,
+    YConst,
+    free_vars,
+    fresh_name,
+    subterms,
+    type_of,
+)
 from yflow.types import Arrow, Ground, SimpleType, argument_types
 
 
@@ -162,6 +177,70 @@ def unwind_spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
+def all_names(t: Term) -> set[str]:
+    """Every variable name occurring in t, bound or free, binders included."""
+    names = set()
+    for s in subterms(t):
+        if isinstance(s, Var):
+            names.add(s.name)
+        elif isinstance(s, Lam):
+            names.add(s.var)
+    return names
+
+
+def substitute(t: Term, var: Var, replacement: Term,
+               context: Mapping[str, SimpleType] | None = None) -> Term:
+    """Capture-avoiding substitution of replacement for the free variable var."""
+    if type_of(replacement, context) != var.ty:
+        raise TypingError(
+            f"cannot substitute a term of type {type_of(replacement, context)} "
+            f"for {var.name} : {var.ty}",
+            replacement,
+        )
+    return _subst(t, var, replacement)
+
+
+def _subst(t: Term, var: Var, replacement: Term) -> Term:
+    """Bottom-up: a node whose children come back unchanged is returned as
+    it is, so only the paths to the occurrences of var are rebuilt."""
+    repl_free: set[str] | None = None
+    out: list[Term] = []
+    # Terms to visit, and marks (node,) that rebuild node from its
+    # substituted children on out.
+    stack: list = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, App):
+            stack += ((s,), s.arg, s.fun)
+        elif isinstance(s, Lam) and s.var != var.name:
+            stack += ((s,), s.body)
+        elif isinstance(s, Var) and s.name == var.name:
+            if s.ty != var.ty:
+                raise TypingError(f"occurrence of {s.name} has type {s.ty}", s)
+            out.append(replacement)
+        elif isinstance(s, Term):
+            out.append(s)
+        else:
+            (s,) = s
+            if isinstance(s, App):
+                arg = out.pop()
+                fun = out[-1]
+                out[-1] = s if fun is s.fun and arg is s.arg else App(fun, arg)
+            elif out[-1] is s.body:
+                out[-1] = s
+            else:
+                if repl_free is None:  # only read here, so collected on first need
+                    repl_free = set(free_vars(replacement))
+                if s.var not in repl_free:
+                    out[-1] = Lam(s.var, s.var_ty, out[-1])
+                    continue
+                out.pop()  # the binder would capture the replacement: rename it, then redo
+                name = fresh_name(s.var, repl_free | all_names(s.body) | {var.name})
+                body = _subst(s.body, Var(s.var, s.var_ty), Var(name, s.var_ty))
+                stack.append(Lam(name, s.var_ty, body))
+    return out[0]
+
+
 def _oracle_eta_contractum(t: Lam) -> Term | None:
     b = t.body
     if (
@@ -200,26 +279,12 @@ def oracle_step_normal_order(t: Term) -> Term | None:
     return None
 
 
-def oracle_step_innermost(t: Term) -> Term | None:
-    """Contract the leftmost-innermost redex, or None if t is normal."""
-    if isinstance(t, App):
-        s = oracle_step_innermost(t.fun)
-        if s is not None:
-            return App(s, t.arg)
-        s = oracle_step_innermost(t.arg)
-        if s is not None:
-            return App(t.fun, s)
-        if isinstance(t.fun, Lam):
-            return _subst(t.fun.body, Var(t.fun.var, t.fun.var_ty), t.arg)
-        if isinstance(t.fun, YConst):
-            return App(t.arg, t)
-        return None
-    if isinstance(t, Lam):
-        s = oracle_step_innermost(t.body)
-        if s is not None:
-            return Lam(t.var, t.var_ty, s)
-        return _oracle_eta_contractum(t)
-    return None
+def oracle_normalize(t: Term) -> Term:
+    """The beta-eta normal form of t, by leftmost-outermost steps until
+    none applies; loops forever when t has no normal form."""
+    while (s := oracle_step_normal_order(t)) is not None:
+        t = s
+    return t
 
 
 def oracle_is_long_shape(s: Term, expect: SimpleType) -> bool:

@@ -7,7 +7,6 @@ from yflow.analysis import (
     certified_normalize,
     has_head_normal_form,
     has_normal_form,
-    proper_nf_equal,
     tilde_Y,
     truncation_depths,
 )
@@ -154,18 +153,6 @@ def test_nf_verdict_matches_syntactic_properness():
     for t in omega_corpus()[::5]:
         want = bool(classify_properness(long_normal_form(t)))
         assert has_normal_form(t).verdict == want, term_to_str(t)
-
-
-def test_proper_nf_equal():
-    two = church_numeral(2, O)
-    assert proper_nf_equal(two, parse_term(r"(\n:(o->o)->o->o. n) #2{o}"))
-    assert proper_nf_equal(
-        tilde_Y(parse_term(r"Y{o->o} (\f:o->o. \y:o. y)")),
-        parse_term(r"\y:o. y"))
-    assert not proper_nf_equal(two, church_numeral(3, O))
-    # neither side has a proper form: contract says false
-    assert not proper_nf_equal(parse_term(r"Y{o} (\x:o. x)"),
-                               parse_term(r"Y{o} (\x:o. x)"))
 
 
 def test_report_serialization():

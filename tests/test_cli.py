@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from yflow.cli import main
+from yflow.parser import parse_term
 from yflow.semantics import default_size_limit, set_default_size_limit
 
 
@@ -68,14 +69,35 @@ def test_typecheck(run):
 def test_normalize_examples(run):
     r = run("normalize", "--fuel", "100", r"(\x:o. x) Omega{o}")
     assert r.exit_code == 0 and r.output == "Omega{o}\n"
+    # readback keeps the outer binder's name; the result is alpha-equal
+    # to \y:o. y, which contracting redexes in place would print
     r = run("normalize", r"#2{o} (\y:o. y)")
-    assert r.output == "\\y:o. y\n"
+    assert r.output == "\\x:o. x\n"
+    assert parse_term(r.output) == parse_term(r"\y:o. y")
 
 
 def test_normalize_fuel_exhaustion_exit_code(run):
+    # Y{o} (\x:o. x) needs its own value after 2 contractions: a black hole
     r = run("normalize", "--fuel", "10", r"Y{o} (\x:o. x)")
     assert r.exit_code == 1
-    assert "fuel exhausted" in r.stderr
+    assert r.stderr == "no normal form: a shared subterm needs its own value\n"
+    assert r.stdout == ""
+    r = run("normalize", "--fuel", "10", r"Y{o->o} (\f:o->o. \x:o. f x)")
+    assert r.exit_code == 1
+    assert r.stderr == "fuel exhausted after 10 steps\n"
+
+
+def test_normalize_json_records(run):
+    r = run("normalize", "--json", r"#2{o} (\y:o. y)")
+    assert r.exit_code == 0
+    assert json.loads(r.stdout) == {"normalized": True, "steps": 3, "term": "\\x:o. x"}
+    r = run("normalize", "--json", "--fuel", "10", r"Y{o} (\x:o. x)")
+    assert r.exit_code == 1
+    assert json.loads(r.stdout) == {"normalized": False, "fuel": 10, "reason": "black hole"}
+    r = run("normalize", "--json", "--fuel", "10", r"Y{o->o} (\f:o->o. \x:o. f x)")
+    assert r.exit_code == 1
+    assert json.loads(r.stdout) == {"normalized": False, "fuel": 10,
+                                    "reason": "fuel exhausted"}
 
 
 def test_long_nf(run):

@@ -1,13 +1,14 @@
-"""Reduction: strategies, long forms, properness, elimination, decoding."""
+"""Reduction: single steps, the budget, long forms, properness, elimination, decoding."""
 
 import pytest
 
-from oracles import oracle_is_long_shape, oracle_step_innermost, oracle_step_normal_order
+from oracles import oracle_is_long_shape, oracle_step_normal_order
 import term_corpus
 from term_corpus import lambda_y_corpus, omega_corpus
 from yflow.parser import parse_term, parse_type
 from yflow.printer import term_to_str
 from yflow.reduction import (
+    BlackHoleError,
     FuelExhausted,
     Improper,
     Normal,
@@ -20,8 +21,6 @@ from yflow.reduction import (
     is_long_normal,
     long_normal_form,
     normalize,
-    step_innermost,
-    step_normal_order,
     term_size,
 )
 from yflow.terms import (
@@ -49,60 +48,48 @@ DEEP = 3000
 
 def test_beta_step():
     t = parse_term(r"(\x:o->o. x) (\y:o. y)")
-    assert step_normal_order(t) == parse_term(r"\y:o. y")
+    assert oracle_step_normal_order(t) == parse_term(r"\y:o. y")
 
 
 def test_eta_step():
     t = parse_term(r"[f:o->o] \x:o. f x")
-    assert step_normal_order(t) == parse_term(r"[f:o->o] f")
+    assert oracle_step_normal_order(t) == parse_term(r"[f:o->o] f")
 
 
 def test_eta_does_not_fire_when_bound_occurs():
     t = parse_term(r"[f:o->o->o] \x:o. f x x")
-    assert step_normal_order(t) is None  # \x. f x x is normal
+    assert oracle_step_normal_order(t) is None  # \x. f x x is normal
 
 
 def test_y_unfolds():
     t = parse_term(r"Y{o} (\x:o. x)")
-    s = step_normal_order(t)
+    s = oracle_step_normal_order(t)
     assert s == parse_term(r"(\x:o. x) (Y{o} (\x:o. x))")
 
 
 def test_omega_is_inert():
-    assert step_normal_order(parse_term(r"Omega{o->o} Omega{o}")) is None
+    assert oracle_step_normal_order(parse_term(r"Omega{o->o} Omega{o}")) is None
 
 
 def test_normalize_fuel_exhaustion():
-    t = parse_term(r"Y{o} (\x:o. x)")
-    out = normalize(t, fuel=25)
-    assert isinstance(out, FuelExhausted) and out.fuel == 25
+    # (Y F) x reduces to itself: no normal form, and no black hole
+    t = parse_term(r"Y{o->o} (\f:o->o. \x:o. f x)")
+    assert normalize(t, fuel=25) == FuelExhausted(25)
+    black_hole = parse_term(r"Y{o} (\x:o. x)")  # needs its own value at step 2
+    assert normalize(black_hole, fuel=1) == FuelExhausted(1)
+    with pytest.raises(BlackHoleError):
+        normalize(black_hole, fuel=25)
 
 
-def test_strategies_agree_on_omega_corpus():
-    for t in omega_corpus():
-        a = normalize(t, strategy="normal-order")
-        b = normalize(t, strategy="innermost")
-        assert isinstance(a, Normal) and isinstance(b, Normal), term_to_str(t)
-        assert a.term == b.term, term_to_str(t)
-
-
-def test_steps_match_the_recursive_oracles():
-    # Every Y-free walk ends within 60 steps; Y terms may not terminate,
-    # and past 20 steps their unfoldings make the suite slow.
-    pairs = [(step_normal_order, oracle_step_normal_order),
-             (step_innermost, oracle_step_innermost)]
-    for t in omega_corpus() + lambda_y_corpus():
-        for step, oracle in pairs:
-            s = t
-            for _ in range(20 if contains_y(t) else 60):
-                got, want = step(s), oracle(s)
-                assert (got is None) == (want is None), term_to_str(s)
-                if got is None:
-                    break
-                assert got == want, term_to_str(s)
-                s = got
-            else:
-                assert contains_y(t), term_to_str(t)
+def test_the_budget_is_exactly_the_step_count():
+    mul = parse_term(r"(\m:(o->o)->o->o. \n:(o->o)->o->o. \f:o->o. m (n f)) #3{o} #3{o}")
+    deep = App(Lam("x", W, Var("x", W)), church_numeral(DEEP, O))
+    for t in omega_corpus() + [mul, deep]:
+        out = normalize(t)
+        n = out.steps
+        assert normalize(t, n) == out, term_to_str(t)
+        if n > 0:
+            assert normalize(t, n - 1) == FuelExhausted(n - 1), term_to_str(t)
 
 
 def test_is_long_normal_matches_the_recursive_oracle():
@@ -122,7 +109,7 @@ def test_is_long_normal_matches_the_recursive_oracle():
 def test_normal_forms_are_stable():
     for t in omega_corpus()[::5]:
         nf = assured_normalize(t)
-        assert step_normal_order(nf) is None
+        assert oracle_step_normal_order(nf) is None
         assert assured_normalize(nf) == nf
 
 
@@ -270,10 +257,9 @@ def test_enumeration_budget_is_monotone():
 
 def test_deep_normalize_under_both_strategies():
     t = App(Lam("x", W, Var("x", W)), church_numeral(DEEP, O))
-    for strategy in ("normal-order", "innermost"):
-        out = normalize(t, strategy=strategy)
-        assert isinstance(out, Normal) and out.steps == 1
-        assert decode_numeral(out.term, O) == DEEP
+    out = normalize(t)
+    assert isinstance(out, Normal) and out.steps == 1
+    assert decode_numeral(out.term, O) == DEEP
 
 
 def test_deep_long_forms_and_properness():

@@ -1,7 +1,8 @@
-"""Term core: alpha equality, substitution, constants, serialization."""
+"""Term core: alpha equality, constants, serialization, and the substitution oracle."""
 
 import pytest
 
+from oracles import substitute
 from yflow.parser import parse_term, parse_type
 from yflow.printer import term_to_str
 from yflow.terms import (
@@ -18,7 +19,6 @@ from yflow.terms import (
     match_numeral,
     omega_tilde,
     omega_types,
-    substitute,
     term_from_json,
     term_to_json,
     term_to_tree,
