@@ -48,6 +48,7 @@ from .semantics import (
     enumerate_domain,
     eval_term,
     height,
+    render_domain,
     render_element,
     set_default_size_limit,
 )
@@ -279,8 +280,7 @@ def domain_cmd(type_text, as_json):
     dom = enumerate_domain(ty)
     if as_json:
         _echo_json({"type": type_to_str(ty), "size": len(dom),
-                    "elements": [render_element(el) for el in dom.elements],
-                    "covers": [list(c) for c in dom.covers()]})
+                    "elements": render_domain(dom), "covers": dom.covers()})
     else:
         _echo(dump_domain(dom), nl=False)
 

@@ -44,6 +44,13 @@ a lattice of up-sets one element covers another exactly when it adds a
 single point, so the Hasse diagram comes from one-point additions to
 each mask.
 
+Enumeration counts a domain before it builds one (see _enumerate_arrow).
+An antichain bound rejects a domain that is plainly too large before any
+walk; a count pass over the table positions and their frontiers then
+rejects one past the size limit before any mask list exists; only then
+does a build pass emit the masks, keeping suffix lists only for
+frontiers that several prefixes share.
+
 Chain heights multiply out: the longest chain adds one point at a time,
 so its length is the product of the argument domain sizes.  This lets
 height() answer for types whose own domain is far too large to
@@ -283,6 +290,20 @@ def enumerate_domain(ty: SimpleType) -> Domain:
         return _domain_cache.setdefault(ty, dom)
 
 
+def _size_lower_bound(dom: Domain, cod: Domain) -> tuple[int, int]:
+    """(b, w) such that there are at least b ** w monotone maps from dom to cod.
+
+    The w argument masks of one popcount, the most of any popcount, form
+    an antichain, and every map from an antichain into a chain of b =
+    height(cod) + 1 codomain elements extends monotonically (send each
+    point to the largest value of an antichain point below it).
+    """
+    levels = [0] * (dom.width + 1)
+    for m in dom.masks:
+        levels[m.bit_count()] += 1
+    return cod.width + 1, max(levels)
+
+
 def _enumerate_arrow(ty: Arrow) -> Domain:
     """Every monotone table over the argument domain, masks ascending.
 
@@ -290,10 +311,28 @@ def _enumerate_arrow(ty: Arrow) -> Domain:
     canonical order is a linear extension, so tables fill left to right.
     The completions of positions i.. depend only on the masks at i's
     frontier, the earlier positions covered by i or a later position, so
-    they are memoized on those, with one stack frame per open position.
+    the walk visits each (position, frontier) once.  It runs twice, each
+    time with one stack frame per open position.
+
+    The count pass records, per (position, frontier), its number of
+    completions, the number of edges that reach it and its (candidate,
+    next frontier) edges.  Every frontier extends, all later positions
+    top, to an element, and distinct frontiers at one position to distinct
+    elements, so the pass raises DomainTooLarge as soon as one count or
+    one position's frontiers pass the limit, before any list is built.
+
+    The build pass walks from the root carrying the prefix, the masks
+    chosen so far.  A frontier reached once is expanded in place; one
+    reached more often builds its completions once, as a suffix list
+    that each use ORs its prefix into and that goes after the last use.
     """
     dom, cod = enumerate_domain(ty.domain), enumerate_domain(ty.codomain)
     n, bits, limit = len(dom), cod.width, _default_size_limit
+    base, level = _size_lower_bound(dom, cod)
+    # base >= 2, so base ** limit.bit_length() > limit: the cap keeps a
+    # huge exponent cheap and the comparison unchanged
+    if base ** min(level, limit.bit_length()) > limit:
+        raise DomainTooLarge(ty, f"at least {base}^{level}")
     covers = dom.covers()
     preds: list[list[int]] = [[] for _ in range(n)]
     for i, j in covers:
@@ -305,36 +344,84 @@ def _enumerate_arrow(ty: Arrow) -> Domain:
     for j in range(n):
         leave[last.get(j, j) + 1].append(j)
     chosen = [0] * n
-    memo: list[dict[int, list[int]]] = [{} for _ in range(n)] + [{0: [0]}]
-    # A frame per open position i: the masks at i's frontier, j's at bit
-    # bits * j; the candidates left at i; the completions found so far.
-    stack = [(0, iter(cod.masks), [])]
-    sub = None  # the completions of i + 1 after chosen[i]
+    # seen[i][key]: the entry [completions, edges reaching it, edges
+    # (v, next entry), suffix list while the build pass holds one]; the
+    # key holds the masks at i's frontier, j's at bit bits * j.  An entry
+    # at the last position is born complete: its completions are its
+    # candidates.  A domain has at least two elements, so the root is not
+    # at the last position.
+    seen: list[dict[int, list]] = [{} for _ in range(n)]
+    root = [0, 1, [], None]
+    # count pass; a frame per open position i: its key, the candidates
+    # left at i, its entry
+    stack = [(0, iter(cod.masks), root)]
+    nxt = None  # the completed entry at i + 1 that chosen[i] reached
     while True:
         i = len(stack) - 1
-        key, todo, out = stack[-1]
-        if sub is not None:
-            hi = chosen[i] << bits * (n - 1 - i)
-            out += [hi | s for s in sub]
-            if len(out) > limit:
+        key, todo, entry = stack[-1]
+        if nxt is not None:
+            entry[0] += nxt[0]
+            if entry[0] > limit:
                 raise DomainTooLarge(ty, f"more than {limit}")
         v = next(todo, None)
         if v is None:
-            sub = memo[i][key] = out
+            nxt = entry
             stack.pop()
             if not stack:
-                return Domain(ty, out, n * bits)
+                break
             continue
         chosen[i] = v
         key |= v << bits * i
         for j in leave[i + 1]:
             key ^= chosen[j] << bits * j
-        sub = memo[i + 1].get(key)
-        if sub is None:
-            lb = 0
-            for j in preds[i + 1]:
-                lb |= chosen[j]
-            stack.append((key, iter([w for w in cod.masks if lb & ~w == 0]), []))
+        nxt = seen[i + 1].get(key)
+        if nxt is not None:
+            nxt[1] += 1
+            entry[2].append((v, nxt))
+            continue
+        if len(seen[i + 1]) >= limit:
+            raise DomainTooLarge(ty, f"more than {limit}")
+        seen[i + 1][key] = fresh = [0, 1, [], None]
+        entry[2].append((v, fresh))
+        lb = 0
+        for j in preds[i + 1]:
+            lb |= chosen[j]
+        cands = [w for w in cod.masks if lb & ~w == 0]
+        if i + 2 == n:
+            fresh[0], fresh[3] = len(cands), cands
+            nxt = fresh
+        else:
+            stack.append((key, iter(cands), fresh))
+    # build pass; a frame per open position i: the edges left at i, the
+    # prefix, the list completions go to, and for a shared entry being
+    # built, the entry and the prefix of its first use
+    out: list[int] = []
+    build = [(iter(root[2]), 0, out, None)]
+    while build:
+        i = len(build) - 1
+        todo, prefix, target, shared = build[-1]
+        edge = next(todo, None)
+        if edge is None:
+            build.pop()
+            if shared is not None:
+                nxt, hi = shared
+                nxt[1] -= 1
+                nxt[3] = target
+                build[-1][2].extend([hi | s for s in target])
+            continue
+        v, nxt = edge
+        hi = prefix | v << bits * (n - 1 - i)
+        sub = nxt[3]
+        if sub is not None:
+            target += [hi | s for s in sub]
+            nxt[1] -= 1
+            if not nxt[1]:
+                nxt[3] = None
+        elif nxt[1] == 1:
+            build.append((iter(nxt[2]), hi, target, None))
+        else:
+            build.append((iter(nxt[2]), 0, [], (nxt, hi)))
+    return Domain(ty, out, n * bits)
 
 
 def cardinality(ty: SimpleType) -> int:
@@ -534,13 +621,18 @@ def _render(mask: int, width: int, sizes: tuple[int, ...]) -> str:
     return out
 
 
+def render_domain(dom: Domain) -> list[str]:
+    """Every element's rendering, in canonical order."""
+    sizes = tuple(len(enumerate_domain(a)) for a in argument_types(dom.ty))
+    width = dom.width
+    return [_render(m, width, sizes) for m in dom.masks]
+
+
 def dump_domain(dom: Domain) -> str:
     """Line-oriented dump: type, size, elements in canonical order, covers."""
     lines = [f"type {type_to_str(dom.ty)}", f"size {len(dom)}"]
-    for i, el in enumerate(dom.elements):
-        lines.append(f"element {i} {render_element(el)}")
-    for i, j in dom.covers():
-        lines.append(f"cover {i} {j}")
+    lines += [f"element {i} {r}" for i, r in enumerate(render_domain(dom))]
+    lines += [f"cover {i} {j}" for i, j in dom.covers()]
     return "\n".join(lines) + "\n"
 
 
@@ -561,6 +653,7 @@ __all__ = [
     "height",
     "lfp",
     "probe_s",
+    "render_domain",
     "render_element",
     "set_default_size_limit",
     "test_t",

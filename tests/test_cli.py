@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, error attribution."""
 
+import hashlib
 import json
 
 import pytest
@@ -146,6 +147,28 @@ def test_domain_json_record(run):
                      "[top, top, top]"],
         "covers": [[0, 1], [1, 2], [2, 3]],
     }
+
+
+def test_domain_dumps_are_pinned_byte_for_byte(run):
+    # sha256 of the whole output, taken before domains were counted first
+    for args, digest in [
+        (["domain", "--json", "o->o->o->o->o"],
+         "e92e7e057a7159c848011aa935e616eb77fb8eac13e0951a6b8e92dff2a0d98c"),
+        (["domain", "--json", "(o->o->o)->o->o->o"],
+         "fe3e1f79cffaa152a0e51f5323fe7458479e5e7685e42442bdfaf65b8028ffe5"),
+        (["domain", "(o->o)->o->o->o"],
+         "4d168d30b0cc62c7788af8ab5256ba7fadcafa9e0e0932396e9b418705cb592a"),
+    ]:
+        r = run(*args)
+        assert r.exit_code == 0, args
+        assert hashlib.sha256(r.stdout_bytes).hexdigest() == digest, args
+
+
+def test_an_oversized_domain_fails_as_a_semantics_error(run):
+    # 2^621 elements at least: the size bound stops it before any walk
+    r = run("domain", "(o->o->o->o->o->o)->o")
+    assert r.exit_code == 2
+    assert r.stderr.startswith("error [semantics]:")
 
 
 VERDICT_KEYS = {"kind", "verdict", "test_value", "type", "truncation_depths", "elapsed_ms"}
@@ -307,6 +330,37 @@ def test_pipeline_json(run, tmp_path):
     assert rec["holds"] is True
     assert [s["label"] for s in rec["stages"]] == [
         "source", "truncated", "expanded", "pure"]
+
+
+SPEC = "{spec}"  # replaced by the path of the add spec file
+CHECK_KEYS = {"name", "type", "consistent", "rows"}
+
+
+@pytest.mark.parametrize("args, keys", [
+    (["parse", "--json", "#2{o}"], {"term", "type", "size", "tree"}),
+    (["typecheck", "--json", "#2{o}"], {"type"}),
+    (["eval", "--json", r"\x:o. x"], {"value", "type"}),
+    (["height", "--json", "(o->o)->(o->o)"], {"type", "height"}),
+    (["proper", "--json", r"\x:o. x"], {"proper", "path", "long_normal_form"}),
+    (["proper", "--json", r"\f:o->o. f Omega{o}"], {"proper", "path", "long_normal_form"}),
+    (["certify-nf", "--json", r"Y{o->o} (\f:o->o. \y:o. y)"], VERDICT_KEYS | {"normal_form"}),
+    (["certify-nf", "--json", r"Y{o} (\x:o. x)"], VERDICT_KEYS | {"normal_form"}),
+    (["check-defines", "--json", SPEC], CHECK_KEYS),
+    (["pipeline", "--json", SPEC], {"name", "stages", "source", "target", "holds"}),
+    (["depth-probe", "--json", r"\n:(o->o)->o->o. #0{o}", "--first-zero", "0", "--depth", "1"],
+     {"outcome", "claimed_first_zero", "depth", "alpha", "bound_violated", "normal_form"}),
+])
+def test_json_record_key_sets(run, tmp_path, args, keys):
+    spec = _write_add_spec(tmp_path)
+    r = run(*[spec if a == SPEC else a for a in args])
+    assert r.exit_code in (0, 1)
+    rec = json.loads(r.stdout)
+    assert set(rec) == keys
+    if args[0] == "check-defines":
+        assert all(set(row) == {"args", "expected", "observed", "ok"} for row in rec["rows"])
+    if args[0] == "pipeline":
+        assert set(rec["source"]) == set(rec["target"]) == CHECK_KEYS
+        assert all(set(stage) == {"label", "size", "term"} for stage in rec["stages"])
 
 
 def test_depth_probe(run):

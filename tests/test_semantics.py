@@ -2,6 +2,7 @@
 fixed points, and the test/probe elements."""
 
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from yflow.semantics import (
     height,
     lfp,
     probe_s,
+    render_domain,
     render_element,
     set_default_size_limit,
     test_t as flow_test,
@@ -152,6 +154,63 @@ def test_size_limit_stops_a_deep_enumeration_early():
         assert len(enumerate_domain(parse_type("o->o->o->o->o->o"))) == 7_581
     finally:
         set_default_size_limit(saved)
+
+
+def test_an_oversized_domain_fails_before_the_walk():
+    # at the default limit the antichain bound, 2^621, rules the domain out
+    # before the count pass starts, so no frontier is ever stored
+    clear_domain_cache()
+    tracemalloc.start()
+    try:
+        started = time.process_time()
+        with pytest.raises(DomainTooLarge, match=r"at least 2\^621 elements"):
+            enumerate_domain(parse_type("(o->o->o->o->o->o)->o"))
+        assert time.process_time() - started < 2.0
+        assert tracemalloc.get_traced_memory()[1] < 20_000_000
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_count_pass_stops_a_deep_enumeration_without_the_bound(monkeypatch):
+    monkeypatch.setattr(semantics, "_size_lower_bound", lambda dom, cod: (1, 0))
+    saved = default_size_limit()
+    clear_domain_cache()
+    try:
+        set_default_size_limit(10_000)
+        started = time.process_time()
+        with pytest.raises(DomainTooLarge, match="more than 10000 elements"):
+            enumerate_domain(parse_type("(o->o->o->o->o->o)->o"))
+        assert time.process_time() - started < 1.0
+    finally:
+        set_default_size_limit(saved)
+
+
+@pytest.mark.parametrize("s, bound", [
+    ("(o->o->o)->o->o->o", 25), ("((o->o)->o->o)->(o->o)->o->o", 49),
+] + [(s, None) for s in ORDER_TYPES[1:]])
+def test_the_size_lower_bound_is_a_lower_bound(s, bound):
+    ty = parse_type(s)
+    base, level = semantics._size_lower_bound(enumerate_domain(ty.domain),
+                                               enumerate_domain(ty.codomain))
+    assert base ** level <= cardinality(ty)
+    assert bound is None or base ** level == bound
+
+
+def test_enumerating_w_to_w_peaks_under_10_mb():
+    ty = parse_type("((o->o)->o->o)->(o->o)->o->o")
+    clear_domain_cache()
+    tracemalloc.start()
+    try:
+        assert len(enumerate_domain(ty)) == 120_549
+        assert tracemalloc.get_traced_memory()[1] < 10_000_000
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("s", ORDER_TYPES)
+def test_render_domain_renders_every_element(s):
+    dom = enumerate_domain(parse_type(s))
+    assert render_domain(dom) == [render_element(el) for el in dom.elements]
 
 
 @pytest.mark.parametrize("s", ORDER_TYPES + [
