@@ -9,6 +9,7 @@ stdout.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import sys
@@ -74,6 +75,23 @@ def _fail(stage: str, message: str, as_json: bool):
     sys.exit(2)
 
 
+class _NestingError(Exception):
+    """A RecursionError, attributed to the stage that raised it."""
+
+    def __init__(self, stage: str):
+        super().__init__(stage)
+        self.stage = stage
+
+
+@contextlib.contextmanager
+def _stage(stage: str):
+    """Report a RecursionError raised inside as a failure of `stage`."""
+    try:
+        yield
+    except RecursionError as e:
+        raise _NestingError(stage) from e
+
+
 def guarded(fn):
     """Translate module errors into attributed exit-2 failures."""
 
@@ -92,6 +110,8 @@ def guarded(fn):
             _fail(e.stage, str(e), as_json)
         except (AnalysisInvariantError, FixpointInvariantError) as e:
             _fail("invariant", str(e), as_json)
+        except _NestingError as e:
+            _fail(e.stage, "term nesting exceeds the interpreter limit", as_json)
         except RecursionError:
             _fail("input", "term nesting exceeds the interpreter limit", as_json)
         except (ValueError, RuntimeError, OSError) as e:
@@ -120,7 +140,9 @@ def sugar_option(fn):
 def _read_term(term_text, file):
     if (term_text is None) == (file is None):
         raise click.UsageError("give a term inline or via --file, not both")
-    return parse_term(file.read() if file is not None else term_text)
+    text = file.read() if file is not None else term_text
+    with _stage("parse"):
+        return parse_term(text)
 
 
 def _echo_json(obj) -> None:
@@ -249,7 +271,9 @@ def proper_cmd(term_text, file, as_json):
 @guarded
 def eval_cmd(term_text, file, as_json):
     """Evaluate a closed term and print its domain element."""
-    value = eval_term(_read_term(term_text, file))
+    t = _read_term(term_text, file)
+    with _stage("semantics"):
+        value = eval_term(t)
     if as_json:
         _echo_json({"value": render_element(value), "type": type_to_str(value.ty)})
     else:
@@ -294,7 +318,8 @@ def decide_nf_cmd(term_text, file, as_json):
 
     Exit 1 on a negative verdict."""
     t = _read_term(term_text, file)
-    report = has_normal_form(t)
+    with _stage("semantics"):
+        report = has_normal_form(t)
     if as_json:
         _echo_json(report.to_json())
     else:
@@ -312,7 +337,8 @@ def decide_hnf_cmd(term_text, file, as_json):
 
     Exit 1 on a negative verdict."""
     t = _read_term(term_text, file)
-    report = has_head_normal_form(t)
+    with _stage("semantics"):
+        report = has_head_normal_form(t)
     if as_json:
         _echo_json(report.to_json())
     else:
@@ -332,7 +358,8 @@ def certify_nf_cmd(term_text, file, no_sugar, as_json):
 
     Exit 1 when no normal form exists."""
     t = _read_term(term_text, file)
-    report = has_normal_form(t)
+    with _stage("semantics"):
+        report = has_normal_form(t)
     nf = certified_normalize(t, report)
     if as_json:
         record = report.to_json()

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the term and type surface syntax.
+"""Parser for the term and type surface syntax: one typed pass from text to term.
 
 Grammar:
 
@@ -11,16 +11,39 @@ Grammar:
     type    ::= atype ("->" type)?              (right associative)
     atype   ::= "o" | "(" type ")"
 
-"--" starts a comment running to end of line.  Identifiers are
-[A-Za-z_][A-Za-z0-9_']*; Y and Omega are reserved.  "#m{t}" abbreviates
-the m-th Church numeral at numeral_type(t).  Free variables must be
-declared in the context prefix; parse_term type-checks the result, so
-ill-typed applications raise TypingError.
+"--" starts a comment running to end of line.  An identifier starts
+with a letter (str.isalpha) or "_" and goes on with letters, digits
+(str.isalnum) and "_" or "'"; a numeral is a run of str.isdigit
+characters.  Y and Omega are reserved.  "#m{t}" abbreviates the m-th
+Church numeral at numeral_type(t).  Free variables must be declared in
+the context prefix.
+
+Tokens come from one table-driven pass: a compiled regular expression
+whose groups are the token kinds.  The rare words that hold a non-ASCII
+letter or digit are split by the str predicates above, where they and
+the regular expression classes disagree.
+
+The parser is recursive descent and types as it goes: every term
+production returns the term with its type, and an application is
+checked when it is built, with type_of's messages.  The first ill-typed
+application is kept and raised once the whole text has parsed, so a
+ParseError anywhere still wins; applications complete in the post-order
+in which type_of checks them, so it is the error type_of would raise.
+
+A type follows every ":" and "{", so the parser's own token list holds
+the type tokens after one as a single run, and each distinct run text
+(binder, braces, context) is parsed once per parse_term call.  Arrows
+are built through one table keyed by their parts, so equal types are
+the same object and an application's check is an identity test.
+Nothing is cached across calls.
 """
 
 from __future__ import annotations
 
-from .terms import App, Lam, OmegaConst, Term, Var, YConst, church_numeral, type_of
+import re
+
+from .terms import (App, Lam, OmegaConst, Term, TypingError, Var, YConst, check_app,
+                    church_numeral)
 from .types import Arrow, GROUND, SimpleType
 
 
@@ -51,60 +74,82 @@ _PUNCT = {
 
 RESERVED = {"Y", "Omega"}
 
-
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_'"
+# \w is exactly str.isalnum plus "_"; an ASCII letter or digit is what
+# isalpha or isdigit says it is, so only group 6 needs a closer look.  A
+# type follows every ":" and "{", so group 2 takes the run of type
+# tokens after one whole.  Blanks after a token go with its match.
+_TOKEN = re.compile(r"""
+    [ \t\r\n]+                                                  # leading blanks
+  | (?: --[^\n]*                                                # a comment
+      | ([:{]) ((?:[ \t\r\n]+|--[^\n]*|->|[()]|o(?![\w']))*)   # 1 type opener, 2 type tokens
+      | (->|[\\.,()}\[\]\#])                                    # 3 other punctuation
+      | ([A-Za-z_][\w']*)                                       # 4 identifier with an ASCII start
+      | ([0-9]+)(?![\w'])                                       # 5 ASCII numeral, nothing glued on
+      | (\w[\w']*)                                              # 6 any other word
+      | (.)                                                     # 7 no token starts here
+    ) [ \t\r\n]*
+""", re.VERBOSE | re.DOTALL)
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, lexeme, position) triples, terminated by ("EOF", "", len)."""
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if text.startswith("--", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if text.startswith("->", i):
-            toks.append(("ARROW", "->", i))
-            i += 2
-            continue
-        if c in _PUNCT:
-            toks.append((_PUNCT[c], c, i))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("NAT", text[i:j], i))
-            i = j
-            continue
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            toks.append(("IDENT", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", text, i)
-    toks.append(("EOF", "", n))
+    toks = _tokens(text, 0, len(text), False)
+    toks.append(("EOF", "", len(text)))
     return toks
+
+
+def _tokens(text: str, pos: int, endpos: int, runs: bool) -> list[tuple[str, str, int]]:
+    """The tokens of text[pos:endpos]; with runs, the type tokens after a
+    ":" or "{" stay one ("TYPE", their text, position) token."""
+    toks = []
+    append = toks.append
+    for m in _TOKEN.finditer(text, pos, endpos):
+        group = m.lastindex
+        if group == 3:
+            append((_PUNCT[m[3]], m[3], m.start()))
+        elif group == 4:
+            append(("IDENT", m[4], m.start()))
+        elif group == 2:
+            append((_PUNCT[m[1]], m[1], m.start()))
+            if runs:
+                append(("TYPE", m[2], m.end(1)))
+            elif m[2]:
+                toks += _tokens(text, m.end(1), m.end(2), False)
+        elif group == 5:
+            append(("NAT", m[5], m.start()))
+        elif group == 6:
+            _split_word(m[6], m.start(), text, append)
+        elif group == 7:
+            raise ParseError(f"unexpected character {m[7]!r}", text, m.start())
+    return toks
+
+
+def _split_word(word: str, pos: int, text: str, append) -> None:
+    """A word as tokens: its leading isdigit run, then an identifier."""
+    k = 0
+    while k < len(word) and word[k].isdigit():
+        k += 1
+    if k:
+        append(("NAT", word[:k], pos))
+    if k < len(word):
+        c = word[k]
+        if not (c.isalpha() or c == "_"):
+            raise ParseError(f"unexpected character {c!r}", text, pos + k)
+        append(("IDENT", word[k:], pos + k))
+
+
+_ATOM_START = frozenset(("IDENT", "LPAREN", "HASH"))
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.toks = tokenize(text)
+        self.toks = _tokens(text, 0, len(text), True)
+        self.toks.append(("EOF", "", len(text)))
         self.i = 0
+        self.annotations: dict[str, SimpleType] = {}  # annotation text -> its type
+        self.arrows: dict[tuple[int, int], Arrow] = {}  # ids of the parts -> the arrow
+        self.error: TypingError | None = None  # the first, raised after the EOF check
 
     def peek(self) -> tuple[str, str, int]:
         return self.toks[self.i]
@@ -121,16 +166,23 @@ class _Parser:
                              self.text, tok[2])
         return tok
 
-    def fail(self, message: str):
-        raise ParseError(message, self.text, self.peek()[2])
-
     # -- types ------------------------------------------------------------
+
+    def arrow(self, domain: SimpleType, codomain: SimpleType) -> Arrow:
+        """The one arrow of this call with these parts.  Every type the
+        parser makes comes from here or is GROUND, so the parts are
+        kept alive by the table and their ids are never reused."""
+        key = (id(domain), id(codomain))
+        ty = self.arrows.get(key)
+        if ty is None:
+            ty = self.arrows[key] = Arrow(domain, codomain)
+        return ty
 
     def type_(self) -> SimpleType:
         left = self.atomic_type()
         if self.peek()[0] == "ARROW":
             self.next()
-            return Arrow(left, self.type_())
+            return self.arrow(left, self.type_())
         return left
 
     def atomic_type(self) -> SimpleType:
@@ -144,9 +196,35 @@ class _Parser:
         raise ParseError(f"expected a type, found {lexeme or 'end of input'!r}",
                          self.text, pos)
 
+    def annotation(self) -> SimpleType:
+        """The type after a ":" or "{", from the TYPE token that follows
+        one, parsed once per text.
+
+        A text seen first is parsed from its tokens as tokenize gives
+        them, followed by the token after the run.  In valid input the
+        type takes the whole run and is stored.  A parse that stops short
+        leaves a type token where the caller expects none; the rest of the
+        run goes back in the token list, for the caller to reject.
+        """
+        i, toks = self.i, self.toks
+        _, run, pos = toks[i]
+        ty = self.annotations.get(run)
+        if ty is None:
+            tokens = _tokens(self.text, pos, pos + len(run), False)
+            self.toks, self.i = tokens + [toks[i + 1]], 0
+            ty = self.type_()
+            stop, self.toks = self.i, toks
+            if stop < len(tokens):
+                toks[i:i + 1] = tokens[stop:]
+                self.i = i
+                return ty
+            self.annotations[run] = ty
+        self.i = i + 1
+        return ty
+
     def braced_type(self) -> SimpleType:
         self.expect("LBRACE")
-        ty = self.type_()
+        ty = self.annotation()
         self.expect("RBRACE")
         return ty
 
@@ -165,73 +243,96 @@ class _Parser:
             if name in RESERVED:
                 raise ParseError(f"{name} is reserved", self.text, pos)
             self.expect("COLON")
-            ctx[name] = self.type_()
+            ctx[name] = self.annotation()
             kind, lexeme, pos = self.next()
             if kind == "RBRACKET":
                 return ctx
             if kind != "COMMA":
                 raise ParseError("expected ',' or ']' in context", self.text, pos)
 
-    def term(self, scope: dict[str, SimpleType]) -> Term:
-        if self.peek()[0] == "LAMBDA":
-            self.next()
-            kind, name, pos = self.expect("IDENT")
-            if name in RESERVED:
-                raise ParseError(f"{name} is reserved", self.text, pos)
-            self.expect("COLON")
-            ty = self.type_()
-            self.expect("DOT")
-            inner = dict(scope)
-            inner[name] = ty
-            return Lam(name, ty, self.term(inner))
-        return self.application(scope)
+    def term(self, scope: dict[str, SimpleType]) -> tuple[Term, SimpleType]:
+        """A term and its type; scope maps names in scope to their types
+        and is restored before returning."""
+        if self.toks[self.i][0] != "LAMBDA":
+            return self.application(scope)
+        self.i += 1
+        kind, name, pos = self.expect("IDENT")
+        if name in RESERVED:
+            raise ParseError(f"{name} is reserved", self.text, pos)
+        self.expect("COLON")
+        ty = self.annotation()
+        self.expect("DOT")
+        outer = scope.get(name)
+        scope[name] = ty
+        body, body_ty = self.term(scope)
+        if outer is None:
+            del scope[name]
+        else:
+            scope[name] = outer
+        return Lam(name, ty, body), self.arrow(ty, body_ty)
 
-    def application(self, scope: dict[str, SimpleType]) -> Term:
-        t = self.atom(scope)
-        while self.peek()[0] in ("IDENT", "LPAREN", "HASH"):
-            t = App(t, self.atom(scope))
-        return t
+    def application(self, scope: dict[str, SimpleType]) -> tuple[Term, SimpleType]:
+        t, ty = self.atom(scope)
+        toks = self.toks
+        while toks[self.i][0] in _ATOM_START:
+            arg, arg_ty = self.atom(scope)
+            t = App(t, arg)
+            if ty.__class__ is Arrow and ty.domain is arg_ty:
+                ty = ty.codomain
+            elif self.error is None:
+                try:
+                    ty = check_app(t, ty, arg_ty)
+                except TypingError as e:
+                    self.error = e
+        return t, ty
 
-    def atom(self, scope: dict[str, SimpleType]) -> Term:
-        kind, lexeme, pos = self.next()
+    def atom(self, scope: dict[str, SimpleType]) -> tuple[Term, SimpleType]:
+        kind, lexeme, pos = self.toks[self.i]
+        self.i += 1
         if kind == "IDENT":
             if lexeme == "Y":
-                return YConst(self.braced_type())
+                ty = self.braced_type()
+                return YConst(ty), self.arrow(self.arrow(ty, ty), ty)
             if lexeme == "Omega":
-                return OmegaConst(self.braced_type())
+                ty = self.braced_type()
+                return OmegaConst(ty), ty
             ty = scope.get(lexeme)
             if ty is None:
                 raise ParseError(f"unbound variable {lexeme}", self.text, pos)
-            return Var(lexeme, ty)
+            return Var(lexeme, ty), ty
         if kind == "HASH":
             _, digits, _ = self.expect("NAT")
-            return church_numeral(int(digits), self.braced_type())
+            m = int(digits)
+            alpha = self.braced_type()
+            step = self.arrow(alpha, alpha)
+            return church_numeral(m, alpha), self.arrow(step, step)
         if kind == "LPAREN":
-            t = self.term(scope)
+            typed = self.term(scope)
             self.expect("RPAREN")
-            return t
+            return typed
         raise ParseError(f"expected a term, found {lexeme or 'end of input'!r}",
                          self.text, pos)
+
+    def end(self) -> None:
+        kind, lexeme, pos = self.peek()
+        if kind != "EOF":
+            raise ParseError(f"trailing input {lexeme!r}", self.text, pos)
 
 
 def parse_type(text: str) -> SimpleType:
     p = _Parser(text)
     ty = p.type_()
-    kind, lexeme, pos = p.peek()
-    if kind != "EOF":
-        raise ParseError(f"trailing input {lexeme!r}", text, pos)
+    p.end()
     return ty
 
 
 def parse_term(text: str) -> Term:
     """Parse and type-check; the optional [x:t, ...] prefix types free variables."""
     p = _Parser(text)
-    ctx = p.context()
-    t = p.term(dict(ctx))
-    kind, lexeme, pos = p.peek()
-    if kind != "EOF":
-        raise ParseError(f"trailing input {lexeme!r}", text, pos)
-    type_of(t, ctx)
+    t, _ = p.term(p.context())
+    p.end()
+    if p.error is not None:
+        raise p.error
     return t
 
 

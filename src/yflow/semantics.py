@@ -25,13 +25,15 @@ Enumerated elements are born forced, and applying a forced element
 reads the entry at the argument's index.  A fixed point is lazy: it
 solves a point when it is first applied at it.
 
-A term is compiled once per evaluation: one walk gives every subterm its
-type (a variable carries its own, an abstraction's comes from its
-compiled body) and a function from environments to elements.  The
-closures an abstraction yields share that compiled body, so applying
-one neither retypes nor re-walks the term.  Each constant compiles to
-one shared element, and bottom and top elements share their codomain
-elements, so a mask forced once is reused.
+A term is typed and compiled in one walk per evaluation, with no
+separate type_of pass: the walk gives every subterm its type (a variable
+carries its own and must agree with its binder, an abstraction's comes
+from its compiled body, an application's is checked against its
+children's, identity first) and a function from environments to
+elements.  The closures an abstraction yields share that compiled body,
+so applying one neither retypes nor re-walks the term.  Each constant
+compiles to one shared element, and bottom and top elements share their
+codomain elements, so a mask forced once is reused.
 
 A domain is its ascending mask list, enumerated once per process and
 cached; insertion holds a lock, so concurrent readers are safe.  Its
@@ -65,7 +67,7 @@ import functools
 import threading
 from typing import Callable
 
-from .terms import App, Lam, OmegaConst, Term, Var, YConst, type_of
+from .terms import App, Lam, OmegaConst, Term, Var, YConst, check_app, check_var
 from .types import (
     GROUND,
     Arrow,
@@ -528,19 +530,33 @@ def lfp(f: Element) -> Element:
 
 
 def eval_term(t: Term) -> Element:
-    """Denotation of a closed term: type-check it, then compile it."""
-    type_of(t)
-    return _compile(t)[1]({})
+    """Denotation of a closed term, typed by the walk that compiles it.
+
+    Raises TypingError with type_of's message on an ill-typed or open term.
+    """
+    return _compile(t, {})[1]({})
 
 
-def _compile(t: Term) -> tuple[SimpleType, Callable[[dict[str, Element]], Element]]:
-    """The type of a well-typed term and a function from environments to its value."""
+def _compile(t: Term, scope: dict[str, SimpleType]
+             ) -> tuple[SimpleType, Callable[[dict[str, Element]], Element]]:
+    """The type of t and a function from environments to its value, making
+    type_of's checks in its post-order.  scope maps the names bound around
+    t to their binders' types; it is restored before returning."""
     if isinstance(t, Var):
         name = t.name
+        if scope.get(name) is not t.ty:
+            check_var(t, scope.get(name))
         return t.ty, lambda env: env[name]
     if isinstance(t, Lam):
-        body_ty, body = _compile(t.body)
-        ty, var = Arrow(t.var_ty, body_ty), t.var
+        var, var_ty = t.var, t.var_ty
+        outer = scope.get(var)
+        scope[var] = var_ty
+        body_ty, body = _compile(t.body, scope)
+        if outer is None:
+            del scope[var]
+        else:
+            scope[var] = outer
+        ty = Arrow(var_ty, body_ty)
 
         def run(env: dict[str, Element]) -> Element:
             def fn(arg: Element) -> Element:
@@ -552,9 +568,13 @@ def _compile(t: Term) -> tuple[SimpleType, Callable[[dict[str, Element]], Elemen
 
         return ty, run
     if isinstance(t, App):
-        fun_ty, fun = _compile(t.fun)
-        arg = _compile(t.arg)[1]
-        return fun_ty.codomain, lambda env: fun(env).apply(arg(env))
+        fun_ty, fun = _compile(t.fun, scope)
+        arg_ty, arg = _compile(t.arg, scope)
+        if fun_ty.__class__ is Arrow and fun_ty.domain is arg_ty:
+            ty = fun_ty.codomain
+        else:
+            ty = check_app(t, fun_ty, arg_ty)
+        return ty, lambda env: fun(env).apply(arg(env))
     if isinstance(t, OmegaConst):
         el = bottom_element(t.ty)
     elif isinstance(t, YConst):

@@ -14,7 +14,8 @@ Terms are as deep as the numerals they compute, so no walker spends a
 Python frame per nesting level.  fold is the one post-order traversal,
 on an explicit stack; alpha keys, typing, leaf mapping, the tagged tree
 and the printer are folds.  free_vars and tree_to_term have stack loops
-of their own.
+of their own.  type_of's two checks, check_var and check_app, are also
+made by the parser and by the evaluator's compile walk.
 """
 
 from __future__ import annotations
@@ -211,6 +212,25 @@ def omega_types(t: Term) -> set[SimpleType]:
     return {s.ty for s in subterms(t) if isinstance(s, OmegaConst)}
 
 
+def check_var(s: Var, declared: SimpleType | None) -> SimpleType:
+    """The type of variable s, whose innermost binder or context entry
+    declares `declared` (None when there is none)."""
+    if declared is None:
+        raise TypingError(f"unbound variable {s.name}", s)
+    if declared is not s.ty and declared != s.ty:
+        raise TypingError(f"variable {s.name} carries type {s.ty} but is bound at {declared}", s)
+    return s.ty
+
+
+def check_app(s: App, fun_ty: SimpleType, arg_ty: SimpleType) -> SimpleType:
+    """The type of application s from the types of its two children."""
+    if not isinstance(fun_ty, Arrow):
+        raise TypingError(f"applied term has ground type {fun_ty}", s)
+    if fun_ty.domain is not arg_ty and fun_ty.domain != arg_ty:
+        raise TypingError(f"argument type {arg_ty} does not match domain {fun_ty.domain}", s)
+    return fun_ty.codomain
+
+
 def type_of(t: Term, context: Mapping[str, SimpleType] | None = None) -> SimpleType:
     """Type of t, with context supplying the types of free variables.
 
@@ -219,28 +239,12 @@ def type_of(t: Term, context: Mapping[str, SimpleType] | None = None) -> SimpleT
     """
     def leaf(s: Term, env: dict[str, SimpleType]) -> SimpleType:
         if isinstance(s, Var):
-            declared = env.get(s.name)
-            if declared is None:
-                raise TypingError(f"unbound variable {s.name}", s)
-            if declared != s.ty:
-                raise TypingError(
-                    f"variable {s.name} carries type {s.ty} but is bound at {declared}", s
-                )
-            return s.ty
+            return check_var(s, env.get(s.name))
         if isinstance(s, OmegaConst):
             return s.ty
         return Arrow(Arrow(s.ty, s.ty), s.ty)
 
-    def app(s: App, fun_ty: SimpleType, arg_ty: SimpleType) -> SimpleType:
-        if not isinstance(fun_ty, Arrow):
-            raise TypingError(f"applied term has ground type {fun_ty}", s)
-        if fun_ty.domain != arg_ty:
-            raise TypingError(
-                f"argument type {arg_ty} does not match domain {fun_ty.domain}", s
-            )
-        return fun_ty.codomain
-
-    return fold(t, leaf, lambda s, body_ty: Arrow(s.var_ty, body_ty), app,
+    return fold(t, leaf, lambda s, body_ty: Arrow(s.var_ty, body_ty), check_app,
                 lambda s, env: {**env, s.var: s.var_ty}, dict(context) if context else {})
 
 
@@ -312,9 +316,10 @@ def y_tilde(n: int, ty: SimpleType) -> Term:
     if n < 0:
         raise ValueError("truncation depth must be non-negative")
     step = Arrow(ty, ty)
+    f = Var("f", step)  # one node for every occurrence: terms are immutable
     body: Term = OmegaConst(ty)
     for _ in range(n):
-        body = App(Var("f", step), body)
+        body = App(f, body)
     return Lam("f", step, body)
 
 
@@ -322,11 +327,17 @@ def y_truncate(t: Term, depths: Mapping[SimpleType, int]) -> Term:
     """Replace each Y{s} by y_tilde(depths[s], s); ValueError naming every
     recursion type in t without a depth entry."""
     missing: set[SimpleType] = set()
+    # one truncation per recursion type, shared by its occurrences: terms
+    # are immutable and no walk keys on node identity
+    shared: dict[SimpleType, Term] = {}
 
     def leaf(s: Term) -> Term:
         if isinstance(s, YConst):
             if s.ty in depths:
-                return y_tilde(depths[s.ty], s.ty)
+                out = shared.get(s.ty)
+                if out is None:
+                    out = shared[s.ty] = y_tilde(depths[s.ty], s.ty)
+                return out
             missing.add(s.ty)
         return s
 

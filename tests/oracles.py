@@ -14,6 +14,11 @@ and not on the solver under test.  oracle_enumerate_masks is another: the
 plain depth-first enumeration yflow.semantics replaced with one memoized
 on frontiers, reading the argument and codomain domains from the package.
 
+oracle_tokenize is the character-at-a-time scanner yflow.parser replaced
+with one regular expression: str.isalpha, isdigit and isalnum decide
+each character, so it also pins the corners where those predicates and
+the regular expression classes disagree.
+
 The reduction oracles at the end rewrite syntax, where yflow.reduction
 evaluates on a machine: capture-avoiding substitution, a recursive
 leftmost-outermost stepper that contracts one redex at a time (beta,
@@ -30,6 +35,7 @@ from functools import cache
 from itertools import product
 from typing import Mapping
 
+from yflow.parser import ParseError
 from yflow.semantics import Element, bottom_element, enumerate_domain, height
 from yflow.terms import (
     App,
@@ -165,6 +171,51 @@ def oracle_enumerate_masks(ty: SimpleType) -> list[int]:
         base = packed[i] << bits
         masks.extend([base | w for w in candidates(i)])
     return masks
+
+
+_PUNCT = {"->": "ARROW", "\\": "LAMBDA", ".": "DOT", ":": "COLON", ",": "COMMA",
+          "(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE",
+          "[": "LBRACKET", "]": "RBRACKET", "#": "HASH"}
+
+
+def oracle_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """yflow.parser.tokenize, one character at a time."""
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t\r\n":
+            i += 1
+            continue
+        if text.startswith("--", i):
+            j = text.find("\n", i)
+            i = n if j < 0 else j + 1
+            continue
+        if text.startswith("->", i):
+            toks.append(("ARROW", "->", i))
+            i += 2
+            continue
+        if c in _PUNCT:
+            toks.append((_PUNCT[c], c, i))
+            i += 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(("NAT", text[i:j], i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            toks.append(("IDENT", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", text, i)
+    toks.append(("EOF", "", n))
+    return toks
 
 
 def unwind_spine(t: Term) -> tuple[Term, list[Term]]:

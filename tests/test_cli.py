@@ -257,6 +257,18 @@ def test_json_error_record(run):
     assert rec["stage"] == "parse" and "unbound" in rec["error"]
 
 
+def test_nesting_failures_name_their_stage(run):
+    # evaluation recurses once per level; parentheses in the parser do too
+    w = "((o->o)->o->o)"
+    r = run("decide-nf", f"(\\x:{w}. x) #1000{{o}}")
+    assert r.exit_code == 2
+    assert r.stderr == "error [semantics]: term nesting exceeds the interpreter limit\n"
+    deep = run("parse", "--no-sugar", "#400{o}").stdout
+    r = run("decide-nf", deep)
+    assert r.exit_code == 2
+    assert r.stderr == "error [parse]: term nesting exceeds the interpreter limit\n"
+
+
 def test_size_limit_flag(run):
     r = run("--size-limit", "5", "domain", "(o->o)->o->o")
     assert r.exit_code == 2

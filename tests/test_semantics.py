@@ -38,7 +38,8 @@ from yflow.semantics import (
     test_t as flow_test,
     top_element,
 )
-from yflow.terms import OmegaConst, church_numeral, omega_tilde, type_of
+from yflow.terms import (App, Lam, OmegaConst, TypingError, Var, church_numeral,
+                         omega_tilde, type_of)
 from yflow.types import GROUND, Arrow
 
 O = GROUND
@@ -395,16 +396,42 @@ def test_eval_requires_a_closed_term():
         eval_term(parse_term(r"[z:o] z"))
 
 
-def test_eval_types_the_term_once(monkeypatch):
-    import yflow.semantics as semantics
+def test_eval_types_in_its_compile_walk_without_type_of(monkeypatch):
+    import sys
+
+    import yflow.terms as terms
 
     calls = []
-    real = semantics.type_of
-    monkeypatch.setattr(semantics, "type_of", lambda *a: calls.append(a) or real(*a))
+    real = terms.type_of
+    for name, module in list(sys.modules.items()):
+        if name.startswith("yflow") and getattr(module, "type_of", None) is real:
+            monkeypatch.setattr(module, "type_of", lambda *a: calls.append(a) or real(*a))
     t = parse_term(r"Y{o->o} (\f:o->o. \x:o. Y{o->o} (\g:o->o. \y:o. f (g y)) x) Omega{o}")
     value = eval_term(t)
-    assert len(calls) == 1
+    assert calls == []
     assert value.ty == O and value.flag is False
+
+
+def _ill_typed():
+    x, f = Var("x", O), Var("f", OO)
+    ident = Lam("y", O, Var("y", O))
+    return [
+        Var("z", O),                                       # free
+        Lam("x", O, App(Lam("x", OO, x), ident)),          # carried type, inner binder
+        Lam("x", O, App(x, x)),                            # an applied ground term
+        App(ident, ident),                                 # a domain mismatch
+        Lam("f", OO, App(App(f, f), Var("z", O))),         # the first in post-order
+    ]
+
+
+@pytest.mark.parametrize("t", _ill_typed())
+def test_eval_raises_type_ofs_typing_error(t):
+    with pytest.raises(TypingError) as expected:
+        type_of(t)
+    with pytest.raises(TypingError) as e:
+        eval_term(t)
+    assert str(e.value) == str(expected.value)
+    assert e.value.term is expected.value.term
 
 
 @pytest.mark.parametrize("s", ["o->o->o", "(o->o)->o->o"])

@@ -3,6 +3,8 @@
 import pytest
 
 from oracles import substitute
+from term_corpus import HIGHER_Y_CORPUS
+from yflow.analysis import truncation_depths
 from yflow.parser import parse_term, parse_type
 from yflow.printer import term_to_str
 from yflow.terms import (
@@ -16,6 +18,7 @@ from yflow.terms import (
     contains_omega,
     contains_y,
     free_vars,
+    map_leaves,
     match_numeral,
     omega_tilde,
     omega_types,
@@ -148,6 +151,18 @@ def test_y_truncate_replaces_all_and_checks_depths():
     assert not contains_y(out) and contains_omega(out)
     with pytest.raises(ValueError):
         y_truncate(t, {OO: 1})  # depth for the wrong recursion type
+
+
+def test_y_truncate_shares_one_truncation_per_recursion_type():
+    t = parse_term(r"\g:o->o. Y{o->o} (\f:o->o. Y{o->o} (\h:o->o. f))")
+    out = y_truncate(t, {OO: 3})
+    first, second = out.body.fun, out.body.arg.body.fun
+    assert first is second and first == y_tilde(3, OO)
+    for t in HIGHER_Y_CORPUS:
+        depths = truncation_depths(t)
+        unshared = map_leaves(t, lambda s: y_tilde(depths[s.ty], s.ty)
+                              if isinstance(s, YConst) else s)
+        assert y_truncate(t, depths) == unshared
 
 
 def test_y_types_and_omega_types():
