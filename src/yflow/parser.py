@@ -13,10 +13,11 @@ Grammar:
 
 "--" starts a comment running to end of line.  An identifier starts
 with a letter (str.isalpha) or "_" and goes on with letters, digits
-(str.isalnum) and "_" or "'"; a numeral is a run of str.isdigit
-characters.  Y and Omega are reserved.  "#m{t}" abbreviates the m-th
-Church numeral at numeral_type(t).  Free variables must be declared in
-the context prefix.
+(str.isalnum) and "_" or "'".  A numeral is a run of ASCII digits; the
+tokenizer takes any run of str.isdigit characters, and the parser
+rejects one that holds another digit.  Y and Omega are reserved.  "#m{t}"
+abbreviates the m-th Church numeral at numeral_type(t).  Free variables
+must be declared in the context prefix.
 
 Tokens come from one table-driven pass: a compiled regular expression
 whose groups are the token kinds.  The rare words that hold a non-ASCII
@@ -301,7 +302,9 @@ class _Parser:
                 raise ParseError(f"unbound variable {lexeme}", self.text, pos)
             return Var(lexeme, ty), ty
         if kind == "HASH":
-            _, digits, _ = self.expect("NAT")
+            _, digits, at = self.expect("NAT")
+            if not digits.isascii():
+                raise ParseError(f"expected NAT, found {digits!r}", self.text, at)
             m = int(digits)
             alpha = self.braced_type()
             step = self.arrow(alpha, alpha)

@@ -25,13 +25,12 @@ Enumerated elements are born forced, and applying a forced element
 reads the entry at the argument's index.  A fixed point is lazy: it
 solves a point when it is first applied at it.
 
-A term is typed and compiled in one walk per evaluation, with no
-separate type_of pass: the walk gives every subterm its type (a variable
-carries its own and must agree with its binder, an abstraction's comes
-from its compiled body, an application's is checked against its
-children's, identity first) and a function from environments to
-elements.  The closures an abstraction yields share that compiled body,
-so applying one neither retypes nor re-walks the term.  Each constant
+A term is typed and compiled by one terms.fold per evaluation, with no
+type_of pass: the fold makes type_of's checks in its post-order and
+emits post-order code that a loop runs on an operand stack.  The
+closures an abstraction yields run its body's code in their environment
+plus the argument, so applying one neither retypes nor re-walks the
+term, and the term's nesting depth costs no Python frame.  Each constant
 compiles to one shared element, and bottom and top elements share their
 codomain elements, so a mask forced once is reused.
 
@@ -67,7 +66,7 @@ import functools
 import threading
 from typing import Callable
 
-from .terms import App, Lam, OmegaConst, Term, Var, YConst, check_app, check_var
+from .terms import App, Lam, OmegaConst, Term, Var, check_app, check_var, fold
 from .types import (
     GROUND,
     Arrow,
@@ -530,58 +529,59 @@ def lfp(f: Element) -> Element:
 
 
 def eval_term(t: Term) -> Element:
-    """Denotation of a closed term, typed by the walk that compiles it.
-
-    Raises TypingError with type_of's message on an ill-typed or open term.
-    """
-    return _compile(t, {})[1]({})
+    """Denotation of a closed term, typed by the fold that compiles it.
+    An ill-typed or open term raises TypingError with type_of's message."""
+    return _run(_compile(t), {})
 
 
-def _compile(t: Term, scope: dict[str, SimpleType]
-             ) -> tuple[SimpleType, Callable[[dict[str, Element]], Element]]:
-    """The type of t and a function from environments to its value, making
-    type_of's checks in its post-order.  scope maps the names bound around
-    t to their binders' types; it is restored before returning."""
-    if isinstance(t, Var):
-        name = t.name
-        if scope.get(name) is not t.ty:
-            check_var(t, scope.get(name))
-        return t.ty, lambda env: env[name]
-    if isinstance(t, Lam):
-        var, var_ty = t.var, t.var_ty
-        outer = scope.get(var)
-        scope[var] = var_ty
-        body_ty, body = _compile(t.body, scope)
-        if outer is None:
-            del scope[var]
+def _compile(t: Term) -> list:
+    """t's code, from one fold whose hooks make type_of's checks in its
+    post-order and whose environment maps bound names to their types.
+    The code is post-order: a variable's name, a constant's element,
+    (type, binder, body code) for an abstraction, None for an application."""
+    codes: list[list] = [[]]  # the code of each open abstraction body, innermost last
+
+    def leaf(s: Term, scope: dict[str, SimpleType]) -> SimpleType:
+        if isinstance(s, Var):
+            codes[-1].append(s.name)
+            return check_var(s, scope.get(s.name))
+        el = bottom_element(s.ty) if isinstance(s, OmegaConst) else Element(
+            Arrow(Arrow(s.ty, s.ty), s.ty), lfp)
+        codes[-1].append(el)
+        return el.ty
+
+    def bind(s: Lam, scope: dict[str, SimpleType]) -> dict[str, SimpleType]:
+        codes.append([])
+        return {**scope, s.var: s.var_ty}
+
+    def lam(s: Lam, body_ty: SimpleType) -> SimpleType:
+        body = codes.pop()
+        codes[-1].append((ty := Arrow(s.var_ty, body_ty), s.var, body))
+        return ty
+
+    def app(s: App, fun_ty: SimpleType, arg_ty: SimpleType) -> SimpleType:
+        codes[-1].append(None)
+        return check_app(s, fun_ty, arg_ty)
+
+    fold(t, leaf, lam, app, bind, {})
+    return codes[0]
+
+
+def _run(code: list, env: dict[str, Element]) -> Element:
+    """The value of code in env, on an operand stack.  A closure runs its
+    body's code in env plus its argument: term depth costs no Python frame."""
+    stack: list[Element] = []
+    for op in code:
+        if op is None:
+            stack.append(stack.pop(-2).apply(stack.pop()))  # the function, then its argument
+        elif op.__class__ is str:
+            stack.append(env[op])
+        elif op.__class__ is tuple:
+            ty, var, body = op
+            stack.append(Element(ty, lambda a, var=var, body=body: _run(body, {**env, var: a})))
         else:
-            scope[var] = outer
-        ty = Arrow(var_ty, body_ty)
-
-        def run(env: dict[str, Element]) -> Element:
-            def fn(arg: Element) -> Element:
-                inner_env = dict(env)
-                inner_env[var] = arg
-                return body(inner_env)
-
-            return Element(ty, fn)
-
-        return ty, run
-    if isinstance(t, App):
-        fun_ty, fun = _compile(t.fun, scope)
-        arg_ty, arg = _compile(t.arg, scope)
-        if fun_ty.__class__ is Arrow and fun_ty.domain is arg_ty:
-            ty = fun_ty.codomain
-        else:
-            ty = check_app(t, fun_ty, arg_ty)
-        return ty, lambda env: fun(env).apply(arg(env))
-    if isinstance(t, OmegaConst):
-        el = bottom_element(t.ty)
-    elif isinstance(t, YConst):
-        el = Element(Arrow(Arrow(t.ty, t.ty), t.ty), lfp)
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    return el.ty, lambda env: el
+            stack.append(op)
+    return stack[0]
 
 
 # ---------------------------------------------------------------------------

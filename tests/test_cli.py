@@ -257,16 +257,25 @@ def test_json_error_record(run):
     assert rec["stage"] == "parse" and "unbound" in rec["error"]
 
 
-def test_nesting_failures_name_their_stage(run):
-    # evaluation recurses once per level; parentheses in the parser do too
+def test_nesting_failures_name_their_stage(run, monkeypatch):
+    # evaluation runs flat code on a stack, so depth costs it no frame;
+    # parentheses in the parser still recurse once per level
     w = "((o->o)->o->o)"
-    r = run("decide-nf", f"(\\x:{w}. x) #1000{{o}}")
-    assert r.exit_code == 2
-    assert r.stderr == "error [semantics]: term nesting exceeds the interpreter limit\n"
+    for command in ["decide-nf", "decide-hnf", "certify-nf", "eval"]:
+        r = run(command, f"(\\x:{w}. x) #20000{{o}}")
+        assert r.exit_code == 0, (command, r.output)
     deep = run("parse", "--no-sugar", "#400{o}").stdout
     r = run("decide-nf", deep)
     assert r.exit_code == 2
     assert r.stderr == "error [parse]: term nesting exceeds the interpreter limit\n"
+
+    def overflow(*_args):
+        raise RecursionError
+
+    monkeypatch.setattr("yflow.cli.has_normal_form", overflow)
+    r = run("decide-nf", r"\x:o. x")
+    assert r.exit_code == 2
+    assert r.stderr == "error [semantics]: term nesting exceeds the interpreter limit\n"
 
 
 def test_size_limit_flag(run):

@@ -99,6 +99,18 @@ def test_a_normal_form_that_contains_itself_is_a_black_hole():
         r"Omega{o->o->o} Omega{o} Omega{o}")
 
 
+@pytest.mark.parametrize("text", [r"\v:o->o. Y{o} v",
+                                  r"(\u:o->o. \v:o->o. Y{o} v) (\w:o. w)"])
+def test_an_eta_step_around_y_is_neither_decided_nor_reached(text):
+    # The beta-eta normal form is Y{o} itself, but the machine unfolds Y
+    # before readback can eta-contract, and the verdict says no normal
+    # form.  Both sides agree; a fix to either must change this pin.
+    t = parse_term(text)
+    assert has_normal_form(t).verdict is False
+    with pytest.raises(BlackHoleError):
+        normalize(t)
+
+
 def test_recursion_with_a_normal_form_needs_no_fuel():
     t = spell(r"Y{W->W} (\r:W->W. \n:W. IFZ n #0{o} (SUCC (SUCC #0{o}))) #3{o}")
     assert decode_numeral(assured_normalize(t), O) == 2

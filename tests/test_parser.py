@@ -145,6 +145,8 @@ MALFORMED = [
     ("#{o}", "line 1, column 2: expected NAT, found '{'"),
     ("#3 o", "line 1, column 4: expected LBRACE, found 'o'"),
     ("#3{}", "line 1, column 4: expected a type, found '}'"),
+    ("#\u00b2{o}", "line 1, column 2: expected NAT, found '\u00b2'"),  # not decimal
+    ("#\u0663{o}", "line 1, column 2: expected NAT, found '\u0663'"),  # not ASCII
     ("[x:o y", "line 1, column 6: expected ',' or ']' in context"),
     ("[x:o, Omega:o] x", "line 1, column 7: Omega is reserved"),
     ("[x:] x", "line 1, column 4: expected a type, found ']'"),
