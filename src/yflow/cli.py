@@ -1,5 +1,10 @@
 """Command line front end for the workbench.
 
+Every subcommand is registered through _command, or _term_command, which
+adds the [TERM] argument and --file; so each takes --json and runs under
+guarded.  Each prints its result through _report, which builds only the
+form asked for: a sorted JSON record or the text.
+
 Exit status: 0 on success, 1 when a flagged analysis answers negatively
 (no normal form, improper, refuted table, failed pipeline, fuel
 exhausted), 2 on any error.  Every failure path names the stage that
@@ -30,7 +35,7 @@ from .harness import (
     load_spec_file,
     recursion_depth_probe,
 )
-from .parser import ParseError, parse_term, parse_type
+from .parser import ParseError, _parse_typed, parse_term, parse_type
 from .printer import term_to_str
 from .reduction import (
     DEFAULT_FUEL,
@@ -53,7 +58,7 @@ from .semantics import (
     render_element,
     set_default_size_limit,
 )
-from .terms import TypingError, term_to_tree, tilde_omega_map, type_of
+from .terms import TypingError, term_to_tree, tilde_omega_map
 from .types import type_to_str
 
 
@@ -120,41 +125,38 @@ def guarded(fn):
     return wrapper
 
 
-def term_options(fn):
-    fn = click.option("--file", "-f", "file", type=click.File("r"),
-                      help="Read the term from a file instead.")(fn)
-    fn = click.argument("term_text", metavar="[TERM]", required=False)(fn)
-    return fn
+_TERM = (click.argument("term_text", metavar="[TERM]", required=False),
+         click.option("--file", "-f", "file", type=click.File("r"),
+                      help="Read the term from a file instead."))
+_SUGAR = click.option("--no-sugar", is_flag=True, help="Print numerals structurally.")
+_JSON = click.option("--json", "as_json", is_flag=True, help="Emit a structured record.")
+_TYPE = click.argument("type_text", metavar="TYPE")
+_SPECFILE = click.argument("specfile", type=click.Path(exists=True, dir_okay=False))
 
 
-def json_option(fn):
-    return click.option("--json", "as_json", is_flag=True,
-                        help="Emit a structured record.")(fn)
-
-
-def sugar_option(fn):
-    return click.option("--no-sugar", is_flag=True,
-                        help="Print numerals structurally.")(fn)
-
-
-def _read_term(term_text, file):
+def _read_term(term_text, file, typed=False):
+    """The term given inline or in the file; with typed, (term, type)."""
     if (term_text is None) == (file is None):
         raise click.UsageError("give a term inline or via --file, not both")
     text = file.read() if file is not None else term_text
     with _stage("parse"):
-        return parse_term(text)
+        return _parse_typed(text) if typed else parse_term(text)
 
 
-def _echo_json(obj) -> None:
-    _echo(json.dumps(obj, sort_keys=True))
+def _report(as_json: bool, record, text, ok: bool = True) -> None:
+    """Print record() as sorted JSON or text(), then exit 1 unless ok.
+
+    Both are called only when chosen, so only the requested form is built."""
+    _echo(json.dumps(record(), sort_keys=True) if as_json else text())
+    if not ok:
+        sys.exit(1)
 
 
-def _echo_term(t, no_sugar: bool, as_json: bool) -> None:
-    """Print a result term, or its {"term", "size"} record under --json."""
-    if as_json:
-        _echo_json({"term": term_to_str(t, sugar=not no_sugar), "size": term_size(t)})
-    else:
-        _echo(term_to_str(t, sugar=not no_sugar))
+def _printed(t, no_sugar: bool):
+    """The record and text callables of a result term: {"term", "size"} or the term."""
+    def text():
+        return term_to_str(t, sugar=not no_sugar)
+    return lambda: {"term": text(), "size": term_size(t)}, text
 
 
 @click.group()
@@ -169,44 +171,42 @@ def main(size_limit):
         set_default_size_limit(size_limit)
 
 
-@main.command("parse")
-@term_options
-@sugar_option
-@json_option
-@guarded
+def _command(name: str, *params):
+    """Register a guarded subcommand with the parameter decorators params, then --json."""
+    def register(fn):
+        fn = guarded(fn)
+        for param in reversed((*params, _JSON)):
+            fn = param(fn)
+        return main.command(name)(fn)
+    return register
+
+
+def _term_command(name: str, *params):
+    """_command with [TERM] and --file before `params`."""
+    return _command(name, *_TERM, *params)
+
+
+@_term_command("parse", _SUGAR)
 def parse_cmd(term_text, file, no_sugar, as_json):
     """Parse a term, print its canonical rendering."""
-    t = _read_term(term_text, file)
-    ty = type_of(t, {})
-    if as_json:
-        _echo_json({"term": term_to_str(t, sugar=not no_sugar),
-                    "type": type_to_str(ty), "size": term_size(t),
-                    "tree": term_to_tree(t)})
-    else:
-        _echo(term_to_str(t, sugar=not no_sugar))
+    t, ty = _read_term(term_text, file, typed=True)
+    record, text = _printed(t, no_sugar)
+    _report(as_json, lambda: {**record(), "type": type_to_str(ty), "tree": term_to_tree(t)},
+            text)
 
 
-@main.command("typecheck")
-@term_options
-@json_option
-@guarded
+@_term_command("typecheck")
 def typecheck_cmd(term_text, file, as_json):
-    """Print the type of a closed term."""
-    t = _read_term(term_text, file)
-    ty = type_of(t, {})
-    if as_json:
-        _echo_json({"type": type_to_str(ty)})
-    else:
-        _echo(type_to_str(ty))
+    """Print a term's type; its prefix types free variables."""
+    _, ty = _read_term(term_text, file, typed=True)
+    _report(as_json, lambda: {"type": type_to_str(ty)}, lambda: type_to_str(ty))
 
 
-@main.command("normalize")
-@term_options
-@click.option("--fuel", type=click.IntRange(min=0), default=DEFAULT_FUEL, show_default=True,
-              help="Contraction budget: beta steps and Y unfoldings.")
-@sugar_option
-@json_option
-@guarded
+@_term_command("normalize",
+               click.option("--fuel", type=click.IntRange(min=0), default=DEFAULT_FUEL,
+                            show_default=True,
+                            help="Contraction budget: beta steps and Y unfoldings."),
+               _SUGAR)
 def normalize_cmd(term_text, file, fuel, no_sugar, as_json):
     """Reduce to beta-eta normal form within the fuel budget.
 
@@ -218,141 +218,93 @@ def normalize_cmd(term_text, file, fuel, no_sugar, as_json):
         reason, message = "black hole", f"no normal form: {e}"
     else:
         if isinstance(outcome, Normal):
-            if as_json:
-                _echo_json({"normalized": True, "steps": outcome.steps,
-                            "term": term_to_str(outcome.term, sugar=not no_sugar)})
-            else:
-                _echo(term_to_str(outcome.term, sugar=not no_sugar))
+            nf = term_to_str(outcome.term, sugar=not no_sugar)
+            _report(as_json, lambda: {"normalized": True, "steps": outcome.steps, "term": nf},
+                    lambda: nf)
             return
         reason, message = "fuel exhausted", f"fuel exhausted after {fuel} steps"
-    if as_json:
-        _echo_json({"normalized": False, "fuel": fuel, "reason": reason})
-    else:
+    if not as_json:
         _echo(message, err=True)
-    sys.exit(1)
+        sys.exit(1)
+    _report(True, lambda: {"normalized": False, "fuel": fuel, "reason": reason}, None, False)
 
 
-@main.command("long-nf")
-@term_options
-@sugar_option
-@json_option
-@guarded
+@_term_command("long-nf", _SUGAR)
 def long_nf_cmd(term_text, file, no_sugar, as_json):
     """Print the long (eta-expanded) normal form of a fixed-point-free term."""
-    _echo_term(long_normal_form(_read_term(term_text, file)), no_sugar, as_json)
+    _report(as_json, *_printed(long_normal_form(_read_term(term_text, file)), no_sugar))
 
 
-@main.command("proper")
-@term_options
-@json_option
-@guarded
+@_term_command("proper")
 def proper_cmd(term_text, file, as_json):
     """Check whether the long normal form mentions a bottom constant.
 
     Exit 1 when it does."""
-    t = _read_term(term_text, file)
-    nf = long_normal_form(t)
+    nf = long_normal_form(_read_term(term_text, file))
     verdict = classify_properness(nf)
-    if as_json:
-        _echo_json({"proper": bool(verdict),
-                    "path": None if verdict else verdict.render_path(),
-                    "long_normal_form": term_to_str(nf)})
-    elif verdict:
-        _echo("proper")
-    else:
-        _echo(f"improper at {verdict.render_path()}")
-    if not verdict:
-        sys.exit(1)
+    _report(as_json, lambda: {"proper": bool(verdict),
+                              "path": None if verdict else verdict.render_path(),
+                              "long_normal_form": term_to_str(nf)},
+            lambda: "proper" if verdict else f"improper at {verdict.render_path()}",
+            bool(verdict))
 
 
-@main.command("eval")
-@term_options
-@json_option
-@guarded
+@_term_command("eval")
 def eval_cmd(term_text, file, as_json):
     """Evaluate a closed term and print its domain element."""
     t = _read_term(term_text, file)
     with _stage("semantics"):
         value = eval_term(t)
-    if as_json:
-        _echo_json({"value": render_element(value), "type": type_to_str(value.ty)})
-    else:
-        _echo(render_element(value))
+    _report(as_json, lambda: {"value": render_element(value), "type": type_to_str(value.ty)},
+            lambda: render_element(value))
 
 
-@main.command("height")
-@click.argument("type_text", metavar="TYPE")
-@json_option
-@guarded
+@_command("height", _TYPE)
 def height_cmd(type_text, as_json):
     """Longest strict ascending chain length in the domain at TYPE."""
     ty = parse_type(type_text)
     h = height(ty)
-    if as_json:
-        _echo_json({"type": type_to_str(ty), "height": h})
-    else:
-        _echo(str(h))
+    _report(as_json, lambda: {"type": type_to_str(ty), "height": h}, lambda: str(h))
 
 
-@main.command("domain")
-@click.argument("type_text", metavar="TYPE")
-@json_option
-@guarded
+@_command("domain", _TYPE)
 def domain_cmd(type_text, as_json):
     """Dump the domain at TYPE: elements in canonical order plus covers."""
     ty = parse_type(type_text)
     dom = enumerate_domain(ty)
-    if as_json:
-        _echo_json({"type": type_to_str(ty), "size": len(dom),
-                    "elements": render_domain(dom), "covers": dom.covers()})
-    else:
+    if not as_json:
         _echo(dump_domain(dom), nl=False)
+        return
+    _report(True, lambda: {"type": type_to_str(ty), "size": len(dom),
+                           "elements": render_domain(dom), "covers": dom.covers()}, None)
 
 
-@main.command("decide-nf")
-@term_options
-@json_option
-@guarded
+def _decide(term_text, file, as_json, decide, noun: str) -> None:
+    """Print the verdict of decide on the term; exit 1 when negative."""
+    t = _read_term(term_text, file)
+    with _stage("semantics"):
+        report = decide(t)
+    _report(as_json, report.to_json,
+            lambda: f"{noun} exists" if report.verdict else f"no {noun}", report.verdict)
+
+
+@_term_command("decide-nf")
 def decide_nf_cmd(term_text, file, as_json):
     """Decide whether a closed term has a beta-eta normal form.
 
     Exit 1 on a negative verdict."""
-    t = _read_term(term_text, file)
-    with _stage("semantics"):
-        report = has_normal_form(t)
-    if as_json:
-        _echo_json(report.to_json())
-    else:
-        _echo("normal form exists" if report.verdict else "no normal form")
-    if not report.verdict:
-        sys.exit(1)
+    _decide(term_text, file, as_json, has_normal_form, "normal form")
 
 
-@main.command("decide-hnf")
-@term_options
-@json_option
-@guarded
+@_term_command("decide-hnf")
 def decide_hnf_cmd(term_text, file, as_json):
     """Decide whether a closed term has a head normal form.
 
     Exit 1 on a negative verdict."""
-    t = _read_term(term_text, file)
-    with _stage("semantics"):
-        report = has_head_normal_form(t)
-    if as_json:
-        _echo_json(report.to_json())
-    else:
-        _echo("head normal form exists" if report.verdict
-              else "no head normal form")
-    if not report.verdict:
-        sys.exit(1)
+    _decide(term_text, file, as_json, has_head_normal_form, "head normal form")
 
 
-@main.command("certify-nf")
-@term_options
-@sugar_option
-@json_option
-@guarded
+@_term_command("certify-nf", _SUGAR)
 def certify_nf_cmd(term_text, file, no_sugar, as_json):
     """Decide normalizability and print the extracted normal form.
 
@@ -361,110 +313,67 @@ def certify_nf_cmd(term_text, file, no_sugar, as_json):
     with _stage("semantics"):
         report = has_normal_form(t)
     nf = certified_normalize(t, report)
-    if as_json:
-        record = report.to_json()
-        record["normal_form"] = None if nf is None else term_to_str(
-            nf, sugar=not no_sugar)
-        _echo_json(record)
-    elif nf is None:
-        _echo("no normal form")
-    else:
-        _echo(term_to_str(nf, sugar=not no_sugar))
-    if nf is None:
-        sys.exit(1)
+    text = "no normal form" if nf is None else term_to_str(nf, sugar=not no_sugar)
+    _report(as_json, lambda: {**report.to_json(), "normal_form": None if nf is None else text},
+            lambda: text, nf is not None)
 
 
-@main.command("tilde-y")
-@term_options
-@sugar_option
-@json_option
-@guarded
+@_term_command("tilde-y", _SUGAR)
 def tilde_y_cmd(term_text, file, no_sugar, as_json):
     """Replace fixed points by their height-deep truncated unfoldings."""
-    _echo_term(tilde_Y(_read_term(term_text, file)), no_sugar, as_json)
+    _report(as_json, *_printed(tilde_Y(_read_term(term_text, file)), no_sugar))
 
 
-@main.command("tilde-omega")
-@term_options
-@sugar_option
-@json_option
-@guarded
+@_term_command("tilde-omega", _SUGAR)
 def tilde_omega_cmd(term_text, file, no_sugar, as_json):
     """Expand higher-type bottom constants to ground ones."""
-    _echo_term(tilde_omega_map(_read_term(term_text, file)), no_sugar, as_json)
+    _report(as_json, *_printed(tilde_omega_map(_read_term(term_text, file)), no_sugar))
 
 
-@main.command("eliminate-omega")
-@term_options
-@click.option("--numeral-args", type=int, default=None, metavar="K",
-              help="Read the type as K numeral arguments before the "
-                   "numeral result (default: as many as possible).")
-@sugar_option
-@json_option
-@guarded
+@_term_command("eliminate-omega",
+               click.option("--numeral-args", type=int, default=None, metavar="K",
+                            help="Read the type as K numeral arguments before the "
+                                 "numeral result (default: as many as possible)."),
+               _SUGAR)
 def eliminate_omega_cmd(term_text, file, numeral_args, no_sugar, as_json):
     """Rewrite a ground-bottom term at numeral type into a pure one."""
     out = eliminate_omega(_read_term(term_text, file), numeral_args=numeral_args)
-    _echo_term(out, no_sugar, as_json)
+    _report(as_json, *_printed(out, no_sugar))
 
 
-@main.command("check-defines")
-@click.argument("specfile", type=click.Path(exists=True, dir_okay=False))
-@json_option
-@guarded
+@_command("check-defines", _SPECFILE)
 def check_defines_cmd(specfile, as_json):
     """Check a term against a function table file.
 
     Exit 1 when refuted."""
     spec, term = load_spec_file(specfile)
     verdict = check_defines(term, spec)
-    if as_json:
-        _echo_json(verdict.to_json())
-    else:
-        _echo(verdict.render_table())
-        if verdict.consistent:
-            _echo("consistent")
-        else:
-            _echo(f"refuted at {verdict.witness.args}")
-    if not verdict.consistent:
-        sys.exit(1)
+    ending = "consistent" if verdict.consistent else f"refuted at {verdict.witness.args}"
+    _report(as_json, verdict.to_json, lambda: f"{verdict.render_table()}\n{ending}",
+            verdict.consistent)
 
 
-@main.command("pipeline")
-@click.argument("specfile", type=click.Path(exists=True, dir_okay=False))
-@json_option
-@guarded
+@_command("pipeline", _SPECFILE)
 def pipeline_cmd(specfile, as_json):
     """Truncate, expand and eliminate bottoms, then re-check the table.
 
     Exit 1 when the extracted pure term fails to match."""
     spec, term = load_spec_file(specfile)
     result = conservativity_pipeline(term, spec)
-    if as_json:
-        _echo_json(result.to_json())
-    else:
-        _echo(result.render())
-    if not result.holds:
-        sys.exit(1)
+    _report(as_json, result.to_json, result.render, result.holds)
 
 
-@main.command("depth-probe")
-@term_options
-@click.option("--first-zero", "-m", type=int, required=True, metavar="M",
-              help="Where the tested function is first claimed to be zero.")
-@click.option("--alpha", default="o", show_default=True, metavar="TYPE",
-              help="Numeral parameter type.")
-@click.option("--depth", type=int, required=True, help="Unfolding budget.")
-@json_option
-@guarded
+@_term_command("depth-probe",
+               click.option("--first-zero", "-m", type=int, required=True, metavar="M",
+                            help="Where the tested function is first claimed to be zero."),
+               click.option("--alpha", default="o", show_default=True, metavar="TYPE",
+                            help="Numeral parameter type."),
+               click.option("--depth", type=int, required=True, help="Unfolding budget."))
 def depth_probe_cmd(term_text, file, first_zero, alpha, depth, as_json):
     """Run the depth-bounded zero search against a tested function."""
     t = _read_term(term_text, file)
     report = recursion_depth_probe(t, first_zero, parse_type(alpha), depth)
-    if as_json:
-        _echo_json(report.to_json())
-    else:
-        _echo(report.render())
+    _report(as_json, report.to_json, report.render)
 
 
 if __name__ == "__main__":

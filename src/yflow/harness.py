@@ -360,14 +360,14 @@ def load_spec_file(path: str) -> tuple[FunctionSpec, Term]:
         sample m1 m2 ... -> m    (or -> _ for "no normal form")
 
     The argument and result types are the numeral parameter types, not
-    the numeral types themselves.
+    the numeral types themselves.  Sample values are non-negative, and
+    no arguments are sampled twice.
     """
     name = None
     arg_alphas: tuple[SimpleType, ...] | None = None
     result_alpha: SimpleType | None = None
     term: Term | None = None
-    table: dict[tuple[int, ...], int | None] = {}
-    order: list[tuple[int, ...]] = []
+    table: dict[tuple[int, ...], int | None] = {}  # in file order
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.split("--", 1)[0].strip()
@@ -392,8 +392,12 @@ def load_spec_file(path: str) -> tuple[FunctionSpec, Term]:
                         raise ValueError("sample needs '->'")
                     args = tuple(int(tok) for tok in left.split())
                     right = right.strip()
-                    table[args] = None if right == "_" else int(right)
-                    order.append(args)
+                    value = None if right == "_" else int(right)
+                    if any(n < 0 for n in (*args, value or 0)):
+                        raise ValueError("numerals are non-negative")
+                    if args in table:
+                        raise ValueError(f"sample {args} repeats an earlier line")
+                    table[args] = value
                 else:
                     raise ValueError(f"unknown entry {head!r}")
             except Exception as e:
@@ -406,12 +410,12 @@ def load_spec_file(path: str) -> tuple[FunctionSpec, Term]:
     if not table:
         raise ValueError(f"{path}: no sample lines")
     k = len(arg_alphas)
-    for args in order:
+    for args in table:
         if len(args) != k:
             raise ValueError(f"{path}: sample {args} has {len(args)} values, "
                              f"the table takes {k}")
     spec = FunctionSpec.make(name, arg_alphas, result_alpha,
-                             lambda *xs: table[xs], samples=tuple(order))
+                             lambda *xs: table[xs], samples=tuple(table))
     return spec, term
 
 

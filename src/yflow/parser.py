@@ -329,14 +329,19 @@ def parse_type(text: str) -> SimpleType:
     return ty
 
 
-def parse_term(text: str) -> Term:
-    """Parse and type-check; the optional [x:t, ...] prefix types free variables."""
+def _parse_typed(text: str) -> tuple[Term, SimpleType]:
+    """The term and its type; the optional [x:t, ...] prefix types free variables."""
     p = _Parser(text)
-    t, _ = p.term(p.context())
+    typed = p.term(p.context())
     p.end()
     if p.error is not None:
         raise p.error
-    return t
+    return typed
+
+
+def parse_term(text: str) -> Term:
+    """Parse and type-check; the optional [x:t, ...] prefix types free variables."""
+    return _parse_typed(text)[0]
 
 
 __all__ = ["ParseError", "parse_term", "parse_type", "tokenize"]

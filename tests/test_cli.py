@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -65,6 +66,14 @@ def test_parse_no_sugar(run):
 def test_typecheck(run):
     r = run("typecheck", r"\x:o->o. \y:o. x (x y)")
     assert r.output == "(o -> o) -> o -> o\n"
+
+
+def test_a_context_prefix_types_free_variables(run):
+    for command, out in [("typecheck", "(o -> o) -> o\n"), ("parse", "\\z:o -> o. z y\n")]:
+        r = run(command, r"[y:o] \z:o->o. z y")
+        assert r.exit_code == 0 and r.output == out, command
+    r = run("typecheck", "--json", r"[y:o] \z:o->o. z y")
+    assert json.loads(r.stdout) == {"type": "(o -> o) -> o"}
 
 
 def test_normalize_examples(run):
@@ -255,6 +264,22 @@ def test_json_error_record(run):
     assert r.exit_code == 2
     rec = json.loads(r.stdout)
     assert rec["stage"] == "parse" and "unbound" in rec["error"]
+
+
+@pytest.mark.parametrize("name", sorted(main.commands))
+def test_every_command_has_the_one_command_shape(run, name):
+    command = main.commands[name]
+    assert "--json" in [opt for param in command.params for opt in param.opts]
+    if "term_text" not in [param.name for param in command.params]:
+        return
+    required = [arg for param in command.params
+                if isinstance(param, click.Option) and param.required
+                for arg in (param.opts[0], "0")]
+    r = run(name, "--json", *required, "(")
+    assert r.exit_code == 2
+    rec = json.loads(r.stdout)
+    assert set(rec) == {"error", "stage"} and rec["stage"] == "parse"
+    assert r.stderr.startswith("error [parse]:")
 
 
 def test_nesting_failures_name_their_stage(run, monkeypatch):

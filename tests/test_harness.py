@@ -1,6 +1,8 @@
 """Definability tables, the extended-polynomial library, the
 elimination pipeline and the depth-bounded search probe."""
 
+import re
+
 import pytest
 
 from yflow.harness import (
@@ -238,3 +240,14 @@ def test_load_spec_file_errors(tmp_path):
     p3.write_text("nonsense line\n")
     with pytest.raises(ValueError, match="unknown entry"):
         load_spec_file(str(p3))
+    head = "name x\nargs o, o\nresult o\nterm \\m:(o->o)->o->o. \\n:(o->o)->o->o. m\n"
+    for name, samples, error in [
+        ("repeat.fn", "sample 1 1 -> 5\nsample 1 1 -> 2\n", r"sample \(1, 1\) repeats"),
+        ("negative-arg.fn", "sample -1 1 -> 0\n", "numerals are non-negative"),
+        ("negative-result.fn", "sample 1 1 -> -1\n", "numerals are non-negative"),
+    ]:
+        p = tmp_path / name
+        p.write_text(head + samples)
+        line = 4 + samples.count("\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{line}: {error}"):
+            load_spec_file(str(p))
