@@ -71,8 +71,6 @@ from .terms import (
     church_numeral,
     match_numeral,
     omega_tilde,
-    term_from_json,
-    term_to_json,
     tilde_omega_map,
     type_of,
     y_tilde,

@@ -9,12 +9,12 @@ Exit status: 0 on success, 1 when a flagged analysis answers negatively
 (no normal form, improper, refuted table, failed pipeline, fuel
 exhausted), 2 on any error.  Every failure path names the stage that
 failed; with --json a machine-readable error record also goes to
-stdout.
+stdout.  Term depth costs no Python frame; a RecursionError, from a
+deep type or deeply nested fixed-point solves, fails at stage input.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import sys
@@ -58,7 +58,7 @@ from .semantics import (
     render_element,
     set_default_size_limit,
 )
-from .terms import TypingError, term_to_tree, tilde_omega_map
+from .terms import TypingError, tilde_omega_map
 from .types import type_to_str
 
 
@@ -80,23 +80,6 @@ def _fail(stage: str, message: str, as_json: bool):
     sys.exit(2)
 
 
-class _NestingError(Exception):
-    """A RecursionError, attributed to the stage that raised it."""
-
-    def __init__(self, stage: str):
-        super().__init__(stage)
-        self.stage = stage
-
-
-@contextlib.contextmanager
-def _stage(stage: str):
-    """Report a RecursionError raised inside as a failure of `stage`."""
-    try:
-        yield
-    except RecursionError as e:
-        raise _NestingError(stage) from e
-
-
 def guarded(fn):
     """Translate module errors into attributed exit-2 failures."""
 
@@ -115,8 +98,6 @@ def guarded(fn):
             _fail(e.stage, str(e), as_json)
         except (AnalysisInvariantError, FixpointInvariantError) as e:
             _fail("invariant", str(e), as_json)
-        except _NestingError as e:
-            _fail(e.stage, "term nesting exceeds the interpreter limit", as_json)
         except RecursionError:
             _fail("input", "term nesting exceeds the interpreter limit", as_json)
         except (ValueError, RuntimeError, OSError) as e:
@@ -139,8 +120,7 @@ def _read_term(term_text, file, typed=False):
     if (term_text is None) == (file is None):
         raise click.UsageError("give a term inline or via --file, not both")
     text = file.read() if file is not None else term_text
-    with _stage("parse"):
-        return _parse_typed(text) if typed else parse_term(text)
+    return _parse_typed(text) if typed else parse_term(text)
 
 
 def _report(as_json: bool, record, text, ok: bool = True) -> None:
@@ -191,8 +171,7 @@ def parse_cmd(term_text, file, no_sugar, as_json):
     """Parse a term, print its canonical rendering."""
     t, ty = _read_term(term_text, file, typed=True)
     record, text = _printed(t, no_sugar)
-    _report(as_json, lambda: {**record(), "type": type_to_str(ty), "tree": term_to_tree(t)},
-            text)
+    _report(as_json, lambda: {**record(), "type": type_to_str(ty)}, text)
 
 
 @_term_command("typecheck")
@@ -253,8 +232,7 @@ def proper_cmd(term_text, file, as_json):
 def eval_cmd(term_text, file, as_json):
     """Evaluate a closed term and print its domain element."""
     t = _read_term(term_text, file)
-    with _stage("semantics"):
-        value = eval_term(t)
+    value = eval_term(t)
     _report(as_json, lambda: {"value": render_element(value), "type": type_to_str(value.ty)},
             lambda: render_element(value))
 
@@ -282,8 +260,7 @@ def domain_cmd(type_text, as_json):
 def _decide(term_text, file, as_json, decide, noun: str) -> None:
     """Print the verdict of decide on the term; exit 1 when negative."""
     t = _read_term(term_text, file)
-    with _stage("semantics"):
-        report = decide(t)
+    report = decide(t)
     _report(as_json, report.to_json,
             lambda: f"{noun} exists" if report.verdict else f"no {noun}", report.verdict)
 
@@ -310,8 +287,7 @@ def certify_nf_cmd(term_text, file, no_sugar, as_json):
 
     Exit 1 when no normal form exists."""
     t = _read_term(term_text, file)
-    with _stage("semantics"):
-        report = has_normal_form(t)
+    report = has_normal_form(t)
     nf = certified_normalize(t, report)
     text = "no normal form" if nf is None else term_to_str(nf, sugar=not no_sugar)
     _report(as_json, lambda: {**report.to_json(), "normal_form": None if nf is None else text},

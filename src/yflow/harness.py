@@ -367,7 +367,7 @@ def load_spec_file(path: str) -> tuple[FunctionSpec, Term]:
     arg_alphas: tuple[SimpleType, ...] | None = None
     result_alpha: SimpleType | None = None
     term: Term | None = None
-    table: dict[tuple[int, ...], int | None] = {}  # in file order
+    table: dict[tuple[int, ...], tuple[int | None, int]] = {}  # args -> (value, line), file order
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.split("--", 1)[0].strip()
@@ -397,7 +397,7 @@ def load_spec_file(path: str) -> tuple[FunctionSpec, Term]:
                         raise ValueError("numerals are non-negative")
                     if args in table:
                         raise ValueError(f"sample {args} repeats an earlier line")
-                    table[args] = value
+                    table[args] = value, lineno
                 else:
                     raise ValueError(f"unknown entry {head!r}")
             except Exception as e:
@@ -410,12 +410,12 @@ def load_spec_file(path: str) -> tuple[FunctionSpec, Term]:
     if not table:
         raise ValueError(f"{path}: no sample lines")
     k = len(arg_alphas)
-    for args in table:
+    for args, (_, lineno) in table.items():
         if len(args) != k:
-            raise ValueError(f"{path}: sample {args} has {len(args)} values, "
+            raise ValueError(f"{path}:{lineno}: sample {args} has {len(args)} values, "
                              f"the table takes {k}")
     spec = FunctionSpec.make(name, arg_alphas, result_alpha,
-                             lambda *xs: table[xs], samples=tuple(table))
+                             lambda *xs: table[xs][0], samples=tuple(table))
     return spec, term
 
 

@@ -24,12 +24,15 @@ whose groups are the token kinds.  The rare words that hold a non-ASCII
 letter or digit are split by the str predicates above, where they and
 the regular expression classes disagree.
 
-The parser is recursive descent and types as it goes: every term
-production returns the term with its type, and an application is
+Terms parse in one loop on an explicit stack, with a frame per open
+parenthesis, so nesting depth costs no Python frame.  The parser types
+as it goes: every term comes with its type, and an application is
 checked when it is built, with type_of's messages.  The first ill-typed
 application is kept and raised once the whole text has parsed, so a
 ParseError anywhere still wins; applications complete in the post-order
 in which type_of checks them, so it is the error type_of would raise.
+Types are parsed by recursive descent: they are only as deep as the
+domains that can be enumerated.
 
 A type follows every ":" and "{", so the parser's own token list holds
 the type tokens after one as a single run, and each distinct run text
@@ -252,42 +255,61 @@ class _Parser:
                 raise ParseError("expected ',' or ']' in context", self.text, pos)
 
     def term(self, scope: dict[str, SimpleType]) -> tuple[Term, SimpleType]:
-        """A term and its type; scope maps names in scope to their types
-        and is restored before returning."""
-        if self.toks[self.i][0] != "LAMBDA":
-            return self.application(scope)
-        self.i += 1
-        kind, name, pos = self.expect("IDENT")
-        if name in RESERVED:
-            raise ParseError(f"{name} is reserved", self.text, pos)
-        self.expect("COLON")
-        ty = self.annotation()
-        self.expect("DOT")
-        outer = scope.get(name)
-        scope[name] = ty
-        body, body_ty = self.term(scope)
-        if outer is None:
-            del scope[name]
-        else:
-            scope[name] = outer
-        return Lam(name, ty, body), self.arrow(ty, body_ty)
-
-    def application(self, scope: dict[str, SimpleType]) -> tuple[Term, SimpleType]:
-        t, ty = self.atom(scope)
+        """A term and its type, on an explicit stack; scope maps names in
+        scope to their types and is restored before returning.  A frame
+        per open "(", and one for the whole term, holds the binders opened
+        before its first atom, each with the entry it shadows, and its
+        application so far; the binders close where the application ends."""
         toks = self.toks
-        while toks[self.i][0] in _ATOM_START:
-            arg, arg_ty = self.atom(scope)
-            t = App(t, arg)
-            if ty.__class__ is Arrow and ty.domain is arg_ty:
-                ty = ty.codomain
-            elif self.error is None:
-                try:
-                    ty = check_app(t, ty, arg_ty)
-                except TypingError as e:
-                    self.error = e
-        return t, ty
+        frames: list[tuple] = []  # the enclosing frames, innermost last
+        binders: list[tuple[str, SimpleType, SimpleType | None]] = []
+        fun = fun_ty = None
+        while True:
+            if fun is None:
+                while toks[self.i][0] == "LAMBDA":
+                    self.i += 1
+                    _, name, pos = self.expect("IDENT")
+                    if name in RESERVED:
+                        raise ParseError(f"{name} is reserved", self.text, pos)
+                    self.expect("COLON")
+                    ty = self.annotation()
+                    self.expect("DOT")
+                    binders.append((name, ty, scope.get(name)))
+                    scope[name] = ty
+            if toks[self.i][0] == "LPAREN":
+                self.i += 1
+                frames.append((binders, fun, fun_ty))
+                binders, fun, fun_ty = [], None, None
+                continue
+            t, ty = self.atom(scope)
+            while True:  # t joins the application; a completed frame's term is an atom
+                if fun is None:
+                    fun, fun_ty = t, ty
+                else:
+                    fun = App(fun, t)
+                    if fun_ty.__class__ is Arrow and fun_ty.domain is ty:
+                        fun_ty = fun_ty.codomain
+                    elif self.error is None:
+                        try:
+                            fun_ty = check_app(fun, fun_ty, ty)
+                        except TypingError as e:
+                            self.error = e
+                if toks[self.i][0] in _ATOM_START:
+                    break
+                for name, ty, outer in reversed(binders):
+                    fun, fun_ty = Lam(name, ty, fun), self.arrow(ty, fun_ty)
+                    if outer is None:
+                        del scope[name]
+                    else:
+                        scope[name] = outer
+                if not frames:
+                    return fun, fun_ty
+                self.expect("RPAREN")
+                t, ty = fun, fun_ty
+                binders, fun, fun_ty = frames.pop()
 
     def atom(self, scope: dict[str, SimpleType]) -> tuple[Term, SimpleType]:
+        """A name, a constant or a numeral; term opens parentheses itself."""
         kind, lexeme, pos = self.toks[self.i]
         self.i += 1
         if kind == "IDENT":
@@ -309,10 +331,6 @@ class _Parser:
             alpha = self.braced_type()
             step = self.arrow(alpha, alpha)
             return church_numeral(m, alpha), self.arrow(step, step)
-        if kind == "LPAREN":
-            typed = self.term(scope)
-            self.expect("RPAREN")
-            return typed
         raise ParseError(f"expected a term, found {lexeme or 'end of input'!r}",
                          self.text, pos)
 

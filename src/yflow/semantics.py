@@ -30,9 +30,12 @@ type_of pass: the fold makes type_of's checks in its post-order and
 emits post-order code that a loop runs on an operand stack.  The
 closures an abstraction yields run its body's code in their environment
 plus the argument, so applying one neither retypes nor re-walks the
-term, and the term's nesting depth costs no Python frame.  Each constant
-compiles to one shared element, and bottom and top elements share their
-codomain elements, so a mask forced once is reused.
+term.  Inside the loop a closure application links the caller into a
+chain of frames and runs the body in place, as a CEK machine keeps its
+continuation, so neither the term's depth nor closures nested at run
+time cost a Python frame.  Each constant compiles to one shared
+element, and bottom and top elements share their codomain elements, so
+a mask forced once is reused.
 
 A domain is its ascending mask list, enumerated once per process and
 cached; insertion holds a lock, so concurrent readers are safe.  Its
@@ -131,6 +134,8 @@ class Element:
 
     def apply(self, arg: "Element") -> "Element":
         fn = self._fn
+        if fn.__class__ is _Closure:  # entered here, without __call__'s dispatch
+            return _run(fn.body, {**fn.env, fn.var: arg})
         if fn is not None:
             return fn(arg)
         if not isinstance(self.ty, Arrow):
@@ -567,21 +572,45 @@ def _compile(t: Term) -> list:
     return codes[0]
 
 
+class _Closure:
+    """An abstraction's value: its body's code, run in env plus the argument."""
+
+    __slots__ = ("var", "body", "env")
+
+    def __init__(self, var: str, body: list, env: dict[str, Element]):
+        self.var, self.body, self.env = var, body, env
+
+    def __call__(self, arg: Element) -> Element:
+        return _run(self.body, {**self.env, self.var: arg})
+
+
 def _run(code: list, env: dict[str, Element]) -> Element:
-    """The value of code in env, on an operand stack.  A closure runs its
-    body's code in env plus its argument: term depth costs no Python frame."""
+    """The value of code in env, on one operand stack.  A closure applied
+    here runs in place while its caller's ops and env wait in a frame."""
     stack: list[Element] = []
-    for op in code:
-        if op is None:
-            stack.append(stack.pop(-2).apply(stack.pop()))  # the function, then its argument
-        elif op.__class__ is str:
-            stack.append(env[op])
-        elif op.__class__ is tuple:
-            ty, var, body = op
-            stack.append(Element(ty, lambda a, var=var, body=body: _run(body, {**env, var: a})))
+    frame = None  # the caller's (ops, env, frame); None for the outermost code
+    ops = iter(code)
+    while True:
+        for op in ops:
+            if op is None:
+                arg, fun = stack.pop(), stack.pop()
+                fn = fun._fn
+                if fn.__class__ is _Closure:
+                    frame = ops, env, frame
+                    ops, env = iter(fn.body), {**fn.env, fn.var: arg}
+                    break
+                stack.append(fun.apply(arg))
+            elif op.__class__ is str:
+                stack.append(env[op])
+            elif op.__class__ is tuple:
+                ty, var, body = op
+                stack.append(Element(ty, _Closure(var, body, env)))
+            else:
+                stack.append(op)
         else:
-            stack.append(op)
-    return stack[0]
+            if frame is None:
+                return stack[0]
+            ops, env, frame = frame
 
 
 # ---------------------------------------------------------------------------

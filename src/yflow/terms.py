@@ -8,19 +8,18 @@ fragment; Y admits the unfolding rule Y f -> f (Y f).
 
 Equality and hashing are alpha equivalence: bound variables are compared
 by binder position, free variables and constants by name and type.  The
-surface names are kept for printing and survive serialization unchanged.
+surface names are kept for printing.
 
 Terms are as deep as the numerals they compute, so no walker spends a
 Python frame per nesting level.  fold is the one post-order traversal,
-on an explicit stack; alpha keys, typing, leaf mapping, the tagged tree
-and the printer are folds.  free_vars and tree_to_term have stack loops
-of their own.  type_of's two checks, check_var and check_app, are also
-made by the parser and by the evaluator's compile walk.
+on an explicit stack; alpha keys, typing, leaf mapping and the printer
+are folds.  free_vars has a stack loop of its own.  type_of's two
+checks, check_var and check_app, are also made by the parser and by the
+evaluator's compile walk.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Container, Iterator, Mapping
@@ -348,62 +347,6 @@ def y_truncate(t: Term, depths: Mapping[SimpleType, int]) -> Term:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Tagged-tree serialization.  Kind tags: var, lam, app, omega, y.  Nodes
-# that carry a type annotation store it in surface syntax; binder and
-# variable names are preserved so the round trip is bit exact.
-
-def term_to_tree(t: Term) -> dict:
-    def leaf(s: Term, _env) -> dict:
-        if isinstance(s, Var):
-            return {"kind": "var", "name": s.name, "type": type_to_str(s.ty), "children": []}
-        kind = "omega" if isinstance(s, OmegaConst) else "y"
-        return {"kind": kind, "type": type_to_str(s.ty), "children": []}
-
-    return fold(t, leaf, lambda s, body: {"kind": "lam", "name": s.var,
-                                          "type": type_to_str(s.var_ty), "children": [body]},
-                lambda _, fun, arg: {"kind": "app", "children": [fun, arg]})
-
-
-def tree_to_term(tree: dict) -> Term:
-    from .parser import parse_type
-
-    out: list[Term] = []
-    # Nodes, and build marks: None for an application, (binder, type) for
-    # an abstraction.
-    stack: list = [tree]
-    while stack:
-        node = stack.pop()
-        if node is None:
-            arg = out.pop()
-            out[-1] = App(out[-1], arg)
-        elif isinstance(node, tuple):
-            out[-1] = Lam(node[0], node[1], out[-1])
-        elif node["kind"] == "var":
-            out.append(Var(node["name"], parse_type(node["type"])))
-        elif node["kind"] == "lam":
-            (body,) = node.get("children", [])
-            stack += ((node["name"], parse_type(node["type"])), body)
-        elif node["kind"] == "app":
-            fun, arg = node.get("children", [])
-            stack += (None, arg, fun)
-        elif node["kind"] == "omega":
-            out.append(OmegaConst(parse_type(node["type"])))
-        elif node["kind"] == "y":
-            out.append(YConst(parse_type(node["type"])))
-        else:
-            raise ValueError(f"unknown node kind {node['kind']!r}")
-    return out[0]
-
-
-def term_to_json(t: Term) -> str:
-    return json.dumps(term_to_tree(t), sort_keys=True, separators=(",", ":"))
-
-
-def term_from_json(text: str) -> Term:
-    return tree_to_term(json.loads(text))
-
-
 __all__ = [
     "App",
     "Lam",
@@ -424,10 +367,6 @@ __all__ = [
     "omega_tilde",
     "omega_types",
     "subterms",
-    "term_from_json",
-    "term_to_json",
-    "term_to_tree",
-    "tree_to_term",
     "type_of",
     "y_tilde",
     "y_truncate",

@@ -54,8 +54,7 @@ def test_invocations_release_their_output_streams(run):
 def test_parse_json(run):
     r = run("parse", "--json", "#2{o}")
     rec = json.loads(r.output)
-    assert rec["term"] == "#2{o}" and rec["size"] == 7
-    assert rec["tree"]["kind"] == "lam"
+    assert rec == {"term": "#2{o}", "size": 7, "type": "(o -> o) -> o -> o"}
 
 
 def test_parse_no_sugar(run):
@@ -282,25 +281,33 @@ def test_every_command_has_the_one_command_shape(run, name):
     assert r.stderr.startswith("error [parse]:")
 
 
-def test_nesting_failures_name_their_stage(run, monkeypatch):
-    # evaluation runs flat code on a stack, so depth costs it no frame;
-    # parentheses in the parser still recurse once per level
+def test_deep_terms_succeed_and_recursion_errors_fail_as_input(run, monkeypatch):
+    # past the interpreter's default recursion limit, which this test
+    # keeps: #20000 is that many applications deep, n-fold SUCC nests its
+    # closures 2,000 deep at run time, and the spelled-out #2000 nests its
+    # parentheses 2,000 deep
     w = "((o->o)->o->o)"
     for command in ["decide-nf", "decide-hnf", "certify-nf", "eval"]:
         r = run(command, f"(\\x:{w}. x) #20000{{o}}")
         assert r.exit_code == 0, (command, r.output)
-    deep = run("parse", "--no-sugar", "#400{o}").stdout
-    r = run("decide-nf", deep)
-    assert r.exit_code == 2
-    assert r.stderr == "error [parse]: term nesting exceeds the interpreter limit\n"
+    succ = f"(\\n:{w}. \\f:o->o. \\x:o. f (n f x))"
+    spelled = run("parse", "--no-sugar", "#2000{o}").stdout
+    for text in (f"#2000{{{w}}} {succ} #0{{o}}", spelled):
+        for command, out in [("decide-nf", "normal form exists\n"),
+                             ("decide-hnf", "head normal form exists\n"),
+                             ("eval", "[[bot, bot], [bot, top], [top, top]]\n")]:
+            r = run(command, text)
+            assert (r.exit_code, r.stdout) == (0, out), (command, text[:20], r.stderr)
 
+    # deep types and nested fixed-point solves still recurse; guarded
+    # reports their RecursionError at stage input
     def overflow(*_args):
         raise RecursionError
 
     monkeypatch.setattr("yflow.cli.has_normal_form", overflow)
     r = run("decide-nf", r"\x:o. x")
     assert r.exit_code == 2
-    assert r.stderr == "error [semantics]: term nesting exceeds the interpreter limit\n"
+    assert r.stderr == "error [input]: term nesting exceeds the interpreter limit\n"
 
 
 def test_size_limit_flag(run):
@@ -383,7 +390,7 @@ CHECK_KEYS = {"name", "type", "consistent", "rows"}
 
 
 @pytest.mark.parametrize("args, keys", [
-    (["parse", "--json", "#2{o}"], {"term", "type", "size", "tree"}),
+    (["parse", "--json", "#2{o}"], {"term", "type", "size"}),
     (["typecheck", "--json", "#2{o}"], {"type"}),
     (["eval", "--json", r"\x:o. x"], {"value", "type"}),
     (["height", "--json", "(o->o)->(o->o)"], {"type", "height"}),

@@ -245,6 +245,8 @@ def test_load_spec_file_errors(tmp_path):
         ("repeat.fn", "sample 1 1 -> 5\nsample 1 1 -> 2\n", r"sample \(1, 1\) repeats"),
         ("negative-arg.fn", "sample -1 1 -> 0\n", "numerals are non-negative"),
         ("negative-result.fn", "sample 1 1 -> -1\n", "numerals are non-negative"),
+        ("arity.fn", "sample 1 1 -> 2\nsample 1 2 3 -> 1\n",
+         r"sample \(1, 2, 3\) has 3 values, the table takes 2"),
     ]:
         p = tmp_path / name
         p.write_text(head + samples)

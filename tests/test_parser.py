@@ -81,6 +81,18 @@ def test_lambda_argument_needs_parens():
     parse_term(r"(\f:(o->o)->o->o. f) (\g:o->o. g)")
 
 
+def test_nested_binders_parse_at_any_depth():
+    # twice the interpreter's default recursion limit, which this test keeps
+    n = 2000
+    want = Var("x0", GROUND)
+    for i in reversed(range(n)):
+        want = Lam(f"x{i}", GROUND, want)
+    binders = "".join(f"\\x{i}:o. " for i in range(n))
+    assert parse_term(binders + "x0") == want
+    parenthesized = "".join(f"(\\x{i}:o. " for i in range(n)) + "x0" + ")" * n
+    assert parse_term(parenthesized) == want
+
+
 @pytest.mark.parametrize("sugar", [True, False])
 def test_print_parse_round_trip_on_corpora(sugar):
     for t in (lambda_y_corpus() + omega_corpus())[::3]:

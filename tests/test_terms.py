@@ -1,4 +1,4 @@
-"""Term core: alpha equality, constants, serialization, and the substitution oracle."""
+"""Term core: alpha equality, constants, deep walks, and the substitution oracle."""
 
 import pytest
 
@@ -22,11 +22,7 @@ from yflow.terms import (
     match_numeral,
     omega_tilde,
     omega_types,
-    term_from_json,
-    term_to_json,
-    term_to_tree,
     tilde_omega_map,
-    tree_to_term,
     type_of,
     y_tilde,
     y_truncate,
@@ -175,19 +171,6 @@ def test_free_vars():
     assert free_vars(t) == {"f": OO, "x": O}
 
 
-def test_json_round_trip():
-    for src in (r"\x:o->o. Y{o->o} (\f:o->o. \y:o. x (f y))",
-                r"(\u:(o->o)->o. \v:o. v) Omega{(o->o)->o}",
-                r"#3{o->o}"):
-        t = parse_term(src)
-        assert term_from_json(term_to_json(t)) == t
-
-
-def test_json_is_stable():
-    t = parse_term(r"\x:o. x")
-    assert term_to_json(t) == term_to_json(parse_term(r"\x:o. x"))
-
-
 def _tower(base, f=Var("f", OO)):
     """f (f (... (f base))) with DEEP applications."""
     for _ in range(DEEP):
@@ -249,8 +232,7 @@ def test_deep_printing():
     assert term_to_str(t, sugar=False) == spelled
 
 
-def test_deep_tree_round_trip():
-    t = church_numeral(DEEP, O)
-    assert tree_to_term(term_to_tree(t)) == t
+def test_deep_print_parse_round_trip():
     with_constants = Lam("f", OO, _tower(App(YConst(O), Lam("y", O, OmegaConst(O)))))
-    assert tree_to_term(term_to_tree(with_constants)) == with_constants
+    for t in (church_numeral(DEEP, O), with_constants):
+        assert parse_term(term_to_str(t, sugar=False)) == t
