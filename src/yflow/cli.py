@@ -50,6 +50,7 @@ from .reduction import (
 from .semantics import (
     DomainTooLarge,
     FixpointInvariantError,
+    default_size_limit,
     dump_domain,
     enumerate_domain,
     eval_term,
@@ -143,11 +144,15 @@ def _printed(t, no_sugar: bool):
 @click.option("--size-limit", type=click.IntRange(min=2), envvar="YFLOW_SIZE_LIMIT", default=None,
               metavar="N", help="Domain enumeration bound for this invocation "
               "(env YFLOW_SIZE_LIMIT).")
-def main(size_limit):
+@click.pass_context
+def main(ctx, size_limit):
     """Workbench for simply typed lambda terms with recursion and bottom
     constants: normalization, finite-domain evaluation, decision
     procedures and numeral definability checks."""
     if size_limit is not None:
+        # the bound is process state: restore it when the command ends, so
+        # an in-process caller's next invocation starts from its own
+        ctx.call_on_close(functools.partial(set_default_size_limit, default_size_limit()))
         set_default_size_limit(size_limit)
 
 

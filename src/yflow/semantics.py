@@ -37,9 +37,11 @@ time cost a Python frame.  Each constant compiles to one shared
 element, and bottom and top elements share their codomain elements, so
 a mask forced once is reused.
 
-A domain is its ascending mask list, enumerated once per process and
-cached; insertion holds a lock, so concurrent readers are safe.  Its
-elements, index and renderings are built on demand.  The canonical
+A domain is its masks in ascending order, enumerated once per process
+and cached; insertion holds a lock, so concurrent readers are safe.  The
+masks are a list of ints, or an array('Q') for a large domain whose
+masks fit in 64 bits (see below).  Its elements, index and renderings
+are built on demand.  The canonical
 element order is lexicographic on tables over the canonically ordered
 argument domain, which is the numeric order of masks and always a
 linear extension of the pointwise order; consequently index 0 is the
@@ -53,7 +55,9 @@ An antichain bound rejects a domain that is plainly too large before any
 walk; a count pass over the table positions and their frontiers then
 rejects one past the size limit before any mask list exists; only then
 does a build pass emit the masks, keeping suffix lists only for
-frontiers that several prefixes share.
+frontiers that several prefixes share.  A domain of at least 2^15
+elements whose masks fit in 64 bits is built in 64-bit lanes instead,
+8 bytes a mask (see _build_lanes).
 
 Chain heights multiply out: the longest chain adds one point at a time,
 so its length is the product of the argument domain sizes.  This lets
@@ -66,8 +70,10 @@ together.
 from __future__ import annotations
 
 import functools
+import sys
 import threading
-from typing import Callable
+from array import array
+from typing import Callable, Sequence
 
 from .terms import App, Lam, OmegaConst, Term, Var, check_app, check_var, fold
 from .types import (
@@ -209,12 +215,13 @@ def top_element(ty: SimpleType) -> Element:
 
 
 class Domain:
-    """A fully enumerated domain: its masks in ascending canonical order.
-    Element objects and the mask index are built on first use."""
+    """A fully enumerated domain: its masks in ascending canonical order,
+    a list of ints or, for a large domain of at most 64-bit masks, an
+    array('Q').  Element objects and the mask index are built on first use."""
 
     __slots__ = ("ty", "masks", "width", "_elements", "_index")
 
-    def __init__(self, ty: SimpleType, masks: list[int], width: int):
+    def __init__(self, ty: SimpleType, masks: Sequence[int], width: int):
         self.ty, self.masks, self.width = ty, masks, width  # width: height(ty)
         self._elements = self._index = None
 
@@ -331,6 +338,7 @@ def _enumerate_arrow(ty: Arrow) -> Domain:
     chosen so far.  A frontier reached once is expanded in place; one
     reached more often builds its completions once, as a suffix list
     that each use ORs its prefix into and that goes after the last use.
+    A large domain whose masks fit in 64 bits runs it in lanes instead.
     """
     dom, cod = enumerate_domain(ty.domain), enumerate_domain(ty.codomain)
     n, bits, limit = len(dom), cod.width, _default_size_limit
@@ -398,6 +406,8 @@ def _enumerate_arrow(ty: Arrow) -> Domain:
             nxt = fresh
         else:
             stack.append((key, iter(cands), fresh))
+    if root[0] >= _LANES_FROM and n * bits <= 64:
+        return Domain(ty, _build_lanes(root, n, bits), n * bits)
     # build pass; a frame per open position i: the edges left at i, the
     # prefix, the list completions go to, and for a shared entry being
     # built, the entry and the prefix of its first use
@@ -428,6 +438,63 @@ def _enumerate_arrow(ty: Arrow) -> Domain:
         else:
             build.append((iter(nxt[2]), 0, [], (nxt, hi)))
     return Domain(ty, out, n * bits)
+
+
+# Below this many elements the list build is faster: a run then holds
+# few masks, and packing one costs more than a list comprehension.
+_LANES_FROM = 1 << 15
+
+
+def _build_lanes(root: list, n: int, bits: int) -> array:
+    """The build pass of _enumerate_arrow for masks of at most 64 bits,
+    in 64-bit lanes, so a large domain costs 8 bytes a mask.
+
+    A run of completions is (block, count): count masks in one int, the
+    first in the lowest lane.  Prefixing a run is one multiply and one
+    OR, block | hi * ones(count), with a 1 in each lane.  A target is an
+    array of lanes in little-endian byte order: runs join it through
+    to_bytes, and a shared entry's target becomes its run through
+    from_bytes.  The candidates at the last position become a run when
+    first reached.  The root's target is the domain's masks.
+    """
+    ones: dict[int, int] = {}  # count -> a 1 in each of count lanes
+    out = array("Q")
+    build = [(iter(root[2]), 0, out, None)]
+    while build:
+        i = len(build) - 1
+        todo, prefix, target, shared = build[-1]
+        edge = next(todo, None)
+        if edge is None:
+            build.pop()
+            if shared is None:
+                continue
+            nxt, hi = shared
+            nxt[1] -= 1
+            nxt[3] = sub = int.from_bytes(target, "little"), len(target)
+            target = build[-1][2]
+        else:
+            v, nxt = edge
+            hi = prefix | v << bits * (n - 1 - i)
+            sub = nxt[3]
+            if sub is None:
+                if nxt[1] == 1:
+                    build.append((iter(nxt[2]), hi, target, None))
+                else:
+                    build.append((iter(nxt[2]), 0, array("Q"), (nxt, hi)))
+                continue
+            if sub.__class__ is list:
+                sub = nxt[3] = sum(w << 64 * j for j, w in enumerate(sub)), len(sub)
+            nxt[1] -= 1
+            if not nxt[1]:
+                nxt[3] = None
+        block, count = sub
+        r = ones.get(count)
+        if r is None:
+            r = ones[count] = int.from_bytes(b"\1\0\0\0\0\0\0\0" * count, "little")
+        target.frombytes((block | hi * r).to_bytes(8 * count, "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
 
 
 def cardinality(ty: SimpleType) -> int:

@@ -321,6 +321,15 @@ def test_size_limit_env(run):
     assert r.exit_code == 2
 
 
+def test_size_limit_lasts_one_invocation(run):
+    saved = default_size_limit()
+    for args, env in [(["--size-limit", "5"], {}), ([], {"YFLOW_SIZE_LIMIT": "5"})]:
+        assert run(*args, "domain", "(o->o)->o->o", env=env).exit_code == 2
+        assert default_size_limit() == saved
+        r = run("domain", "--json", "(o->o)->o->o")
+        assert r.exit_code == 0 and json.loads(r.stdout)["size"] == 10
+
+
 def test_out_of_range_numbers_are_usage_errors(run):
     for args, env, option in [
         (["--size-limit", "1", "height", "o"], {}, "--size-limit"),

@@ -3,6 +3,7 @@ fixed points, and the test/probe elements."""
 
 import time
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,8 +220,58 @@ def test_render_domain_renders_every_element(s):
 def test_enumeration_matches_the_depth_first_oracle(s):
     ty = parse_type(s)
     masks = enumerate_domain(ty).masks
-    assert masks == oracle_enumerate_masks(ty)
+    assert list(masks) == oracle_enumerate_masks(ty)
     assert masks[0] == 0 and masks[-1] == (1 << height(ty)) - 1
+
+
+@pytest.fixture()
+def lanes_everywhere(monkeypatch):
+    """Build every domain whose masks fit in 64 bits in lanes, however small."""
+    monkeypatch.setattr(semantics, "_LANES_FROM", 0)
+    clear_domain_cache()
+    yield
+    clear_domain_cache()
+
+
+@pytest.mark.parametrize("s", ORDER_TYPES + [
+    "(o->o->o)->o->o->o", "((o->o)->o->o)->(o->o)->o->o"])
+def test_lane_build_matches_the_depth_first_oracle(s, lanes_everywhere):
+    ty = parse_type(s)
+    masks = enumerate_domain(ty).masks
+    if ty != O:  # the ground domain is not built
+        assert isinstance(masks, array) and masks.typecode == "Q"
+    assert list(masks) == oracle_enumerate_masks(ty)
+
+
+def test_masks_wider_than_64_bits_stay_ints(lanes_everywhere):
+    # the 64-deep left-nested chain: its argument domain is a chain of 65
+    # elements, so it has 66 elements with 65-bit masks
+    ty = O
+    for _ in range(64):
+        ty = Arrow(ty, O)
+    dom = enumerate_domain(ty)
+    assert (len(dom), dom.width) == (66, 65)
+    assert isinstance(dom.masks, list) and dom.masks == oracle_enumerate_masks(ty)
+    assert all(type(m) is int for m in dom.masks)
+    assert isinstance(enumerate_domain(ty.domain).masks, array)
+    assert render_domain(dom) == [
+        "[" + ", ".join(["bot"] * (65 - k) + ["top"] * k) + "]" for k in range(66)]
+    assert [render_element(el) for el in dom.elements] == render_domain(dom)
+    assert dom.covers() == [(k, k + 1) for k in range(65)]
+
+
+def test_w_to_w_packs_into_lanes_under_3_5_mb():
+    ty = parse_type("((o->o)->o->o)->(o->o)->o->o")
+    clear_domain_cache()
+    tracemalloc.start()
+    try:
+        masks = enumerate_domain(ty).masks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(masks, array) and masks.typecode == "Q"
+    assert len(masks) == 120_549
+    assert peak < 3_500_000
 
 
 def test_domain_at_w_to_w_has_120549_elements():
