@@ -360,8 +360,8 @@ def load_spec_file(path: str) -> tuple[FunctionSpec, Term]:
         sample m1 m2 ... -> m    (or -> _ for "no normal form")
 
     The argument and result types are the numeral parameter types, not
-    the numeral types themselves.  Sample values are non-negative, and
-    no arguments are sampled twice.
+    the numeral types themselves.  Sample values are runs of ASCII
+    digits, and no arguments are sampled twice.
     """
     name = None
     arg_alphas: tuple[SimpleType, ...] | None = None
@@ -390,11 +390,12 @@ def load_spec_file(path: str) -> tuple[FunctionSpec, Term]:
                     left, sep, right = rest.partition("->")
                     if not sep:
                         raise ValueError("sample needs '->'")
-                    args = tuple(int(tok) for tok in left.split())
-                    right = right.strip()
-                    value = None if right == "_" else int(right)
-                    if any(n < 0 for n in (*args, value or 0)):
-                        raise ValueError("numerals are non-negative")
+                    *args, value = *left.split(), right.strip()
+                    for w in args if value == "_" else (*args, value):
+                        if not (w.isascii() and w.isdigit()):
+                            raise ValueError("numerals are non-negative" if w[:1] == "-" else
+                                             f"expected a run of ASCII digits, found {w!r}")
+                    args, value = tuple(map(int, args)), None if value == "_" else int(value)
                     if args in table:
                         raise ValueError(f"sample {args} repeats an earlier line")
                     table[args] = value, lineno

@@ -35,11 +35,9 @@ Types are parsed by recursive descent: they are only as deep as the
 domains that can be enumerated.
 
 A type follows every ":" and "{", so the parser's own token list holds
-the type tokens after one as a single run, and each distinct run text
-(binder, braces, context) is parsed once per parse_term call.  Arrows
-are built through one table keyed by their parts, so equal types are
-the same object and an application's check is an identity test.
-Nothing is cached across calls.
+the type tokens after one as a single run.  Each distinct run text is
+parsed once per parse_term call, whose annotation cache lives only that
+long.  Types are interned process wide, so check_app is an identity test.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ import re
 
 from .terms import (App, Lam, OmegaConst, Term, TypingError, Var, YConst, check_app,
                     church_numeral)
-from .types import Arrow, GROUND, SimpleType
+from .types import Arrow, GROUND, SimpleType, numeral_type
 
 
 class ParseError(Exception):
@@ -152,7 +150,6 @@ class _Parser:
         self.toks.append(("EOF", "", len(text)))
         self.i = 0
         self.annotations: dict[str, SimpleType] = {}  # annotation text -> its type
-        self.arrows: dict[tuple[int, int], Arrow] = {}  # ids of the parts -> the arrow
         self.error: TypingError | None = None  # the first, raised after the EOF check
 
     def peek(self) -> tuple[str, str, int]:
@@ -172,21 +169,11 @@ class _Parser:
 
     # -- types ------------------------------------------------------------
 
-    def arrow(self, domain: SimpleType, codomain: SimpleType) -> Arrow:
-        """The one arrow of this call with these parts.  Every type the
-        parser makes comes from here or is GROUND, so the parts are
-        kept alive by the table and their ids are never reused."""
-        key = (id(domain), id(codomain))
-        ty = self.arrows.get(key)
-        if ty is None:
-            ty = self.arrows[key] = Arrow(domain, codomain)
-        return ty
-
     def type_(self) -> SimpleType:
         left = self.atomic_type()
         if self.peek()[0] == "ARROW":
             self.next()
-            return self.arrow(left, self.type_())
+            return Arrow(left, self.type_())
         return left
 
     def atomic_type(self) -> SimpleType:
@@ -287,9 +274,7 @@ class _Parser:
                     fun, fun_ty = t, ty
                 else:
                     fun = App(fun, t)
-                    if fun_ty.__class__ is Arrow and fun_ty.domain is ty:
-                        fun_ty = fun_ty.codomain
-                    elif self.error is None:
+                    if self.error is None:
                         try:
                             fun_ty = check_app(fun, fun_ty, ty)
                         except TypingError as e:
@@ -297,7 +282,7 @@ class _Parser:
                 if toks[self.i][0] in _ATOM_START:
                     break
                 for name, ty, outer in reversed(binders):
-                    fun, fun_ty = Lam(name, ty, fun), self.arrow(ty, fun_ty)
+                    fun, fun_ty = Lam(name, ty, fun), Arrow(ty, fun_ty)
                     if outer is None:
                         del scope[name]
                     else:
@@ -315,7 +300,7 @@ class _Parser:
         if kind == "IDENT":
             if lexeme == "Y":
                 ty = self.braced_type()
-                return YConst(ty), self.arrow(self.arrow(ty, ty), ty)
+                return YConst(ty), Arrow(Arrow(ty, ty), ty)
             if lexeme == "Omega":
                 ty = self.braced_type()
                 return OmegaConst(ty), ty
@@ -329,8 +314,7 @@ class _Parser:
                 raise ParseError(f"expected NAT, found {digits!r}", self.text, at)
             m = int(digits)
             alpha = self.braced_type()
-            step = self.arrow(alpha, alpha)
-            return church_numeral(m, alpha), self.arrow(step, step)
+            return church_numeral(m, alpha), numeral_type(alpha)
         raise ParseError(f"expected a term, found {lexeme or 'end of input'!r}",
                          self.text, pos)
 

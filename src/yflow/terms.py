@@ -216,7 +216,7 @@ def check_var(s: Var, declared: SimpleType | None) -> SimpleType:
     declares `declared` (None when there is none)."""
     if declared is None:
         raise TypingError(f"unbound variable {s.name}", s)
-    if declared is not s.ty and declared != s.ty:
+    if declared is not s.ty:
         raise TypingError(f"variable {s.name} carries type {s.ty} but is bound at {declared}", s)
     return s.ty
 
@@ -225,7 +225,7 @@ def check_app(s: App, fun_ty: SimpleType, arg_ty: SimpleType) -> SimpleType:
     """The type of application s from the types of its two children."""
     if not isinstance(fun_ty, Arrow):
         raise TypingError(f"applied term has ground type {fun_ty}", s)
-    if fun_ty.domain is not arg_ty and fun_ty.domain != arg_ty:
+    if fun_ty.domain is not arg_ty:
         raise TypingError(f"argument type {arg_ty} does not match domain {fun_ty.domain}", s)
     return fun_ty.codomain
 

@@ -1,20 +1,29 @@
-"""Simple types over a single ground type.
+"""Simple types over a single ground type, one object per type.
 
 Every type decomposes uniquely as t1 -> t2 -> ... -> tn -> o; the tuple
 (t1, ..., tn) is the argument list and n the arity.  Arrows associate to
 the right, so Arrow(a, Arrow(b, GROUND)) prints as "a -> b -> o".
+Arrow(a, b) is the one arrow with those parts and Ground() is GROUND,
+so equality is identity and hashing never walks the tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 
 class SimpleType:
-    """Base class for type trees.  Instances are immutable and hashable."""
+    """Base class for types: one immutable object per type, == is `is`."""
 
     __slots__ = ()
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"types are immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy give back the same object
+        return type(self), tuple(getattr(self, field) for field in self.__slots__)
 
     def __str__(self) -> str:
         return type_to_str(self)
@@ -23,29 +32,40 @@ class SimpleType:
         return f"<type {type_to_str(self)}>"
 
 
-@dataclass(frozen=True, repr=False, slots=True)
 class Ground(SimpleType):
     """The single base type, written o."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, repr=False, slots=True)
+    def __new__(cls) -> Ground:
+        return GROUND
+
+
 class Arrow(SimpleType):
-    domain: SimpleType
-    codomain: SimpleType
+    __slots__ = ("domain", "codomain")
+
+    def __new__(cls, domain: SimpleType, codomain: SimpleType) -> Arrow:
+        ty = _ARROWS.get((domain, codomain))
+        if ty is None:
+            ty = object.__new__(cls)
+            object.__setattr__(ty, "domain", domain)
+            object.__setattr__(ty, "codomain", codomain)
+            ty = _ARROWS.setdefault((domain, codomain), ty)
+        return ty
 
 
-GROUND = Ground()
+GROUND = object.__new__(Ground)
+_ARROWS: dict[tuple[SimpleType, SimpleType], Arrow] = {}  # every arrow made; never shrinks
 
 
 def type_to_str(ty: SimpleType) -> str:
-    """Render with minimal parentheses; arrows are right associative."""
-    if isinstance(ty, Ground):
-        return "o"
-    assert isinstance(ty, Arrow)
-    left = type_to_str(ty.domain)
-    if isinstance(ty.domain, Arrow):
-        left = f"({left})"
-    return f"{left} -> {type_to_str(ty.codomain)}"
+    """Minimal parentheses, right associative: only an arrow domain recurses."""
+    text = ""
+    while isinstance(ty, Arrow):
+        domain = ty.domain
+        text += f"({type_to_str(domain)}) -> " if isinstance(domain, Arrow) else "o -> "
+        ty = ty.codomain
+    return text + "o"
 
 
 def argument_types(ty: SimpleType) -> tuple[SimpleType, ...]:

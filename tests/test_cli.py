@@ -310,6 +310,23 @@ def test_deep_terms_succeed_and_recursion_errors_fail_as_input(run, monkeypatch)
     assert r.stderr == "error [input]: term nesting exceeds the interpreter limit\n"
 
 
+def test_a_type_of_arity_2000_types_decides_and_certifies(run):
+    # 2,000 nested binders: the type is interned, so it hashes and compares
+    # in constant time, and it prints in a loop along its arity.  Forcing
+    # the element's table still recurses once per argument, so eval fails
+    # at stage input.
+    text = "".join(f"\\x{i}:o. " for i in range(2000)) + "x0"
+    for command in ["typecheck", "parse", "decide-nf", "decide-hnf", "certify-nf"]:
+        for flags in [(), ("--json",)]:
+            r = run(command, *flags, text)
+            assert r.exit_code == 0, (command, flags, r.stderr)
+    assert run("typecheck", text).stdout == " -> ".join(["o"] * 2001) + "\n"
+    assert run("decide-nf", text).stdout == "normal form exists\n"
+    r = run("eval", text)
+    assert r.exit_code == 2
+    assert r.stderr == "error [input]: term nesting exceeds the interpreter limit\n"
+
+
 def test_size_limit_flag(run):
     r = run("--size-limit", "5", "domain", "(o->o)->o->o")
     assert r.exit_code == 2

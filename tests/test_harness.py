@@ -245,11 +245,16 @@ def test_load_spec_file_errors(tmp_path):
         ("repeat.fn", "sample 1 1 -> 5\nsample 1 1 -> 2\n", r"sample \(1, 1\) repeats"),
         ("negative-arg.fn", "sample -1 1 -> 0\n", "numerals are non-negative"),
         ("negative-result.fn", "sample 1 1 -> -1\n", "numerals are non-negative"),
+        ("arabic-indic.fn", "sample \u0663 1 -> 3\n",
+         "expected a run of ASCII digits, found '\u0663'"),
+        ("plus.fn", "sample +1 1 -> 1\n", "expected a run of ASCII digits, found '\\+1'"),
+        ("underscore.fn", "sample 1 1 -> 1_0\n", "expected a run of ASCII digits, found '1_0'"),
+        ("marker-arg.fn", "sample _ 1 -> 1\n", "expected a run of ASCII digits, found '_'"),
         ("arity.fn", "sample 1 1 -> 2\nsample 1 2 3 -> 1\n",
          r"sample \(1, 2, 3\) has 3 values, the table takes 2"),
     ]:
         p = tmp_path / name
-        p.write_text(head + samples)
+        p.write_text(head + samples, encoding="utf-8")
         line = 4 + samples.count("\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{line}: {error}"):
             load_spec_file(str(p))

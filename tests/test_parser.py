@@ -239,3 +239,5 @@ def test_equal_annotations_share_one_type_object():
     t = parse_term(r"\f:(o->o)->o. \g:o->o. \h:(o->o)->o. Y{o->o}")
     assert t.var_ty is t.body.body.var_ty
     assert t.var_ty.domain is t.body.var_ty
+    u = parse_term(r"\g:o->o. \f:(o->o)->o. f g")  # types are interned across calls
+    assert u.var_ty is t.body.var_ty and u.body.var_ty is t.var_ty

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +15,7 @@ from yflow.types import (
     subtypes,
     type_to_str,
 )
-from yflow.parser import parse_type
+from yflow.parser import parse_term, parse_type
 
 types = st.recursive(
     st.just(GROUND),
@@ -69,3 +72,49 @@ def test_subtypes():
 @given(types, types)
 def test_equality_is_structural(a, b):
     assert (a == b) == (type_to_str(a) == type_to_str(b))
+
+
+def test_arrows_are_interned():
+    assert Arrow(GROUND, GROUND) is Arrow(GROUND, GROUND)
+    assert parse_type("(o->o)->o") is parse_type("(o->o)->o")
+    assert parse_type("(o->o)->o") is Arrow(Arrow(GROUND, GROUND), GROUND)
+    assert Ground() is GROUND
+
+
+@given(types)
+def test_pickle_and_copy_give_back_the_same_object(ty):
+    assert pickle.loads(pickle.dumps(ty)) is ty
+    assert copy.copy(ty) is ty
+    assert copy.deepcopy(ty) is ty
+
+
+def test_a_pickled_term_compares_alpha_equal():
+    t = parse_term(r"\f:(o->o)->o. \g:o->o. f g")
+    u = pickle.loads(pickle.dumps(t))
+    assert u == t and u.var_ty is t.var_ty
+
+
+def test_types_are_immutable():
+    t = Arrow(GROUND, GROUND)
+    with pytest.raises(AttributeError):
+        t.domain = Arrow(GROUND, GROUND)
+    with pytest.raises(AttributeError):
+        del t.codomain
+    with pytest.raises(AttributeError):
+        GROUND.extra = 1
+    assert t.domain is GROUND and t.codomain is GROUND
+
+
+def _left_nested(depth):
+    ty = GROUND
+    for _ in range(depth):  # ((o -> o) -> o) -> ...
+        ty = Arrow(ty, GROUND)
+    return ty
+
+
+def test_deep_types_hash_and_compare_at_the_default_recursion_limit():
+    # each type is built twice, so equality cannot stop at the same object
+    for build in (lambda: arrow([GROUND] * 100_000, GROUND), lambda: _left_nested(5_000)):
+        a, b = build(), build()
+        assert a == b and hash(a) == hash(b) and a != GROUND
+        assert {a: 1}[b] == 1
