@@ -9,8 +9,8 @@ Exit status: 0 on success, 1 when a flagged analysis answers negatively
 (no normal form, improper, refuted table, failed pipeline, fuel
 exhausted), 2 on any error.  Every failure path names the stage that
 failed; with --json a machine-readable error record also goes to
-stdout.  Term depth costs no Python frame; a RecursionError, from a
-deep type or deeply nested fixed-point solves, fails at stage input.
+stdout.  No term or type depth costs a Python frame; a RecursionError,
+from deeply nested fixed-point solves, fails at stage input.
 """
 
 from __future__ import annotations

@@ -31,8 +31,7 @@ checked when it is built, with type_of's messages.  The first ill-typed
 application is kept and raised once the whole text has parsed, so a
 ParseError anywhere still wins; applications complete in the post-order
 in which type_of checks them, so it is the error type_of would raise.
-Types are parsed by recursive descent: they are only as deep as the
-domains that can be enumerated.
+Types parse the same way, with a frame per open parenthesis.
 
 A type follows every ":" and "{", so the parser's own token list holds
 the type tokens after one as a single run.  Each distinct run text is
@@ -170,22 +169,32 @@ class _Parser:
     # -- types ------------------------------------------------------------
 
     def type_(self) -> SimpleType:
-        left = self.atomic_type()
-        if self.peek()[0] == "ARROW":
-            self.next()
-            return Arrow(left, self.type_())
-        return left
-
-    def atomic_type(self) -> SimpleType:
-        kind, lexeme, pos = self.next()
-        if kind == "IDENT" and lexeme == "o":
-            return GROUND
-        if kind == "LPAREN":
-            ty = self.type_()
-            self.expect("RPAREN")
-            return ty
-        raise ParseError(f"expected a type, found {lexeme or 'end of input'!r}",
-                         self.text, pos)
+        """A type, in one loop on an explicit stack: a frame per open "("
+        holds the domains read before it at its level, each waiting for
+        the codomain to its right."""
+        toks = self.toks
+        frames: list[list[SimpleType]] = []  # the enclosing levels, innermost last
+        domains: list[SimpleType] = []
+        while True:
+            kind, lexeme, pos = toks[self.i]
+            self.i += 1
+            if kind == "LPAREN":
+                frames.append(domains)
+                domains = []
+                continue
+            if kind != "IDENT" or lexeme != "o":
+                raise ParseError(f"expected a type, found {lexeme or 'end of input'!r}",
+                                 self.text, pos)
+            ty = GROUND
+            while toks[self.i][0] != "ARROW":  # ty ends its level
+                for dom in reversed(domains):
+                    ty = Arrow(dom, ty)
+                if not frames:
+                    return ty
+                self.expect("RPAREN")
+                domains = frames.pop()
+            self.i += 1
+            domains.append(ty)
 
     def annotation(self) -> SimpleType:
         """The type after a ":" or "{", from the TYPE token that follows

@@ -8,9 +8,9 @@ Krivine abstract machine", HOSC 2007).  normalize bounds the machine's
 contractions, beta steps and Y unfoldings, by a budget; running out is
 data, not an error.  assured_normalize and long_normal_form run it
 unbounded: Y-free terms are strongly normalizing, so both terminate on
-them.  A thunk needed while it is being forced is a black hole, a term
-with no normal form.  Properness and bottom elimination act on long
-forms.
+them.  A thunk needed while it is being forced, or reached again
+within its own readback, is a black hole, a term with no normal form.
+Properness and bottom elimination act on long forms.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ NormalizationOutcome = Normal | FuelExhausted
 
 
 class BlackHoleError(RuntimeError):
-    """A thunk was needed while it was being forced, or, under a budget,
-    reached within its own readback: its value or normal form needs itself."""
+    """A thunk was needed while it was being forced, or reached within its
+    own readback: its value or normal form needs itself."""
 
 
 class _OutOfFuel(Exception):
@@ -76,6 +76,7 @@ class _OutOfFuel(Exception):
 
 _HOLE = object()  # the value of a thunk while it is being forced
 _UPDATE = object()  # frame mark: the thunk below it is being forced
+_READING = object()  # a forced thunk's env while its readback is open
 
 
 class _Thunk:
@@ -149,21 +150,20 @@ def _normal_form(t: Term, ty: SimpleType | None, limit: int | None = None
 
     Readback runs on a stack of (thunk, type) items, forcing each thunk it
     reaches, and of marks: None builds an application, the bound variable
-    an abstraction, and, under a limit, a thunk ends its own readback.  A
-    thunk reached again before that would be read back forever with no
-    contraction to count, so it raises BlackHoleError; without Y, values
-    are acyclic and this cannot happen.  A source binder keeps its name,
-    primed against the names in scope and t's free names; the binder
-    eta-expanding the i-th argument is e<i>, primed against every name
-    drawn so far.  No binder shadows another, so a name identifies its
-    binder."""
+    an abstraction, and a thunk ends its own readback.  While that is
+    open, the thunk's env, cleared by forcing, holds _READING.  A thunk
+    reached again before its readback ends would be read back forever,
+    so it raises BlackHoleError; without Y, values are acyclic and this
+    cannot happen.  A source binder keeps its name, primed against the
+    names in scope and t's free names; the binder eta-expanding the i-th
+    argument is e<i>, primed against every name drawn so far.  No binder
+    shadows another, so a name identifies its binder."""
     # t's free names and the names bound here, with their uses so far
     scope: dict[str, int] = dict.fromkeys(free_vars(t), 0)
     drawn = set(scope)
     out: list[Term] = []
     todo: list = [(_Thunk(t, {}), ty)]
     steps = 0
-    reading: set[_Thunk] | None = None if limit is None else set()  # open readbacks
     while todo:
         item = todo.pop()
         if item is None:
@@ -177,17 +177,16 @@ def _normal_form(t: Term, ty: SimpleType | None, limit: int | None = None
             else:
                 out[-1] = Lam(item.name, item.ty, body)
         elif type(item) is _Thunk:
-            reading.remove(item)
+            item.env = None
         else:
             th, item_ty = item
-            if reading is not None:
-                if th in reading:
-                    raise BlackHoleError("a shared subterm's normal form contains itself")
-                reading.add(th)
-                todo.append(th)
+            if th.env is _READING:
+                raise BlackHoleError("a shared subterm's normal form contains itself")
             if th.value is None:
                 th.value = _HOLE
                 steps = _eval(th.term, th.env, [th, _UPDATE], steps, limit)[1]
+            th.env = _READING
+            todo.append(th)
             value = th.value
             expand = argument_types(item_ty) if ty is not None else ()
             i = 0
@@ -231,7 +230,8 @@ def assured_normalize(t: Term) -> Term:
 
     Terminates on every term without Y constants, and on any term that
     has a normal form; otherwise diverges, or raises BlackHoleError when
-    a shared subterm needs its own value."""
+    a shared subterm needs its own value or its normal form contains
+    itself."""
     return _normal_form(t, None)[0]
 
 

@@ -54,10 +54,11 @@ Enumeration counts a domain before it builds one (see _enumerate_arrow).
 An antichain bound rejects a domain that is plainly too large before any
 walk; a count pass over the table positions and their frontiers then
 rejects one past the size limit before any mask list exists; only then
-does a build pass emit the masks, keeping suffix lists only for
-frontiers that several prefixes share.  A domain of at least 2^15
-elements whose masks fit in 64 bits is built in 64-bit lanes instead,
-8 bytes a mask (see _build_lanes).
+does one build walk emit the masks, keeping a run of completions only
+for a frontier that several prefixes share.  The walk is the same for
+every domain; only a run's format differs.  A domain of at least 2^15
+elements whose masks fit in 64 bits packs its runs into 64-bit lanes,
+8 bytes a mask; any other keeps them as lists of ints (see _build).
 
 Chain heights multiply out: the longest chain adds one point at a time,
 so its length is the product of the argument domain sizes.  This lets
@@ -334,11 +335,10 @@ def _enumerate_arrow(ty: Arrow) -> Domain:
     elements, so the pass raises DomainTooLarge as soon as one count or
     one position's frontiers pass the limit, before any list is built.
 
-    The build pass walks from the root carrying the prefix, the masks
-    chosen so far.  A frontier reached once is expanded in place; one
-    reached more often builds its completions once, as a suffix list
-    that each use ORs its prefix into and that goes after the last use.
-    A large domain whose masks fit in 64 bits runs it in lanes instead.
+    The build pass (_build) walks from the root carrying the prefix, the
+    masks chosen so far.  A frontier reached once is expanded in place;
+    one reached more often builds its run of completions once, which
+    each use ORs its prefix into and which goes after the last use.
     """
     dom, cod = enumerate_domain(ty.domain), enumerate_domain(ty.codomain)
     n, bits, limit = len(dom), cod.width, _default_size_limit
@@ -359,7 +359,7 @@ def _enumerate_arrow(ty: Arrow) -> Domain:
         leave[last.get(j, j) + 1].append(j)
     chosen = [0] * n
     # seen[i][key]: the entry [completions, edges reaching it, edges
-    # (v, next entry), suffix list while the build pass holds one]; the
+    # (v, next entry), its run while the build pass holds one]; the
     # key holds the masks at i's frontier, j's at bit bits * j.  An entry
     # at the last position is born complete: its completions are its
     # candidates.  A domain has at least two elements, so the root is not
@@ -406,59 +406,31 @@ def _enumerate_arrow(ty: Arrow) -> Domain:
             nxt = fresh
         else:
             stack.append((key, iter(cands), fresh))
-    if root[0] >= _LANES_FROM and n * bits <= 64:
-        return Domain(ty, _build_lanes(root, n, bits), n * bits)
-    # build pass; a frame per open position i: the edges left at i, the
-    # prefix, the list completions go to, and for a shared entry being
-    # built, the entry and the prefix of its first use
-    out: list[int] = []
-    build = [(iter(root[2]), 0, out, None)]
-    while build:
-        i = len(build) - 1
-        todo, prefix, target, shared = build[-1]
-        edge = next(todo, None)
-        if edge is None:
-            build.pop()
-            if shared is not None:
-                nxt, hi = shared
-                nxt[1] -= 1
-                nxt[3] = target
-                build[-1][2].extend([hi | s for s in target])
-            continue
-        v, nxt = edge
-        hi = prefix | v << bits * (n - 1 - i)
-        sub = nxt[3]
-        if sub is not None:
-            target += [hi | s for s in sub]
-            nxt[1] -= 1
-            if not nxt[1]:
-                nxt[3] = None
-        elif nxt[1] == 1:
-            build.append((iter(nxt[2]), hi, target, None))
-        else:
-            build.append((iter(nxt[2]), 0, [], (nxt, hi)))
-    return Domain(ty, out, n * bits)
+    packed = root[0] >= _LANES_FROM and n * bits <= 64
+    return Domain(ty, _build(root, n, bits, packed), n * bits)
 
 
-# Below this many elements the list build is faster: a run then holds
-# few masks, and packing one costs more than a list comprehension.
+# Below this many elements lists build faster: a run then holds few
+# masks, and packing one costs more than a list comprehension.
 _LANES_FROM = 1 << 15
 
 
-def _build_lanes(root: list, n: int, bits: int) -> array:
-    """The build pass of _enumerate_arrow for masks of at most 64 bits,
-    in 64-bit lanes, so a large domain costs 8 bytes a mask.
+def _build(root: list, n: int, bits: int, packed: bool) -> list[int] | array:
+    """The build pass of _enumerate_arrow: the masks, from the root's edges.
 
-    A run of completions is (block, count): count masks in one int, the
-    first in the lowest lane.  Prefixing a run is one multiply and one
-    OR, block | hi * ones(count), with a 1 in each lane.  A target is an
-    array of lanes in little-endian byte order: runs join it through
-    to_bytes, and a shared entry's target becomes its run through
-    from_bytes.  The candidates at the last position become a run when
-    first reached.  The root's target is the domain's masks.
+    A frame per open position i holds the edges left at i, the prefix,
+    the target runs join, and for a shared entry being built, the entry
+    and the prefix of its first use.  Only a run's format depends on
+    packed.  Unpacked, a run is a list of masks.  Packed, it is (block,
+    count): count masks in one int, the first in the lowest 64-bit lane;
+    prefixing it is one multiply and one OR, block | hi * ones(count),
+    with a 1 in each lane.  A packed target is an array('Q') in
+    little-endian byte order: runs join it through to_bytes, a shared
+    entry's target becomes its run through from_bytes, and the
+    candidates at the last position become a run when first reached.
     """
     ones: dict[int, int] = {}  # count -> a 1 in each of count lanes
-    out = array("Q")
+    out = array("Q") if packed else []
     build = [(iter(root[2]), 0, out, None)]
     while build:
         i = len(build) - 1
@@ -470,7 +442,7 @@ def _build_lanes(root: list, n: int, bits: int) -> array:
                 continue
             nxt, hi = shared
             nxt[1] -= 1
-            nxt[3] = sub = int.from_bytes(target, "little"), len(target)
+            nxt[3] = sub = (int.from_bytes(target, "little"), len(target)) if packed else target
             target = build[-1][2]
         else:
             v, nxt = edge
@@ -480,19 +452,22 @@ def _build_lanes(root: list, n: int, bits: int) -> array:
                 if nxt[1] == 1:
                     build.append((iter(nxt[2]), hi, target, None))
                 else:
-                    build.append((iter(nxt[2]), 0, array("Q"), (nxt, hi)))
+                    build.append((iter(nxt[2]), 0, array("Q") if packed else [], (nxt, hi)))
                 continue
-            if sub.__class__ is list:
+            if packed and sub.__class__ is list:
                 sub = nxt[3] = sum(w << 64 * j for j, w in enumerate(sub)), len(sub)
             nxt[1] -= 1
             if not nxt[1]:
                 nxt[3] = None
-        block, count = sub
-        r = ones.get(count)
-        if r is None:
-            r = ones[count] = int.from_bytes(b"\1\0\0\0\0\0\0\0" * count, "little")
-        target.frombytes((block | hi * r).to_bytes(8 * count, "little"))
-    if sys.byteorder == "big":
+        if packed:
+            block, count = sub
+            r = ones.get(count)
+            if r is None:
+                r = ones[count] = int.from_bytes(b"\1\0\0\0\0\0\0\0" * count, "little")
+            target.frombytes((block | hi * r).to_bytes(8 * count, "little"))
+        else:
+            target += [hi | s for s in sub]
+    if packed and sys.byteorder == "big":
         out.byteswap()
     return out
 
@@ -718,7 +693,12 @@ def probe_s(ty: SimpleType) -> Element:
 
 
 def render_element(el: Element) -> str:
-    """Nested table over the canonical argument domains; bot/top at ground."""
+    """Nested table over the canonical argument domains; bot/top at ground.
+
+    It forces the whole value, so a table with more points, height(el.ty),
+    than the size limit raises DomainTooLarge before anything is forced."""
+    if height(el.ty) > _default_size_limit:
+        raise DomainTooLarge(el.ty, f"more than {_default_size_limit}")
     mask = el.mask()
     return _render(mask, el._width, tuple(len(enumerate_domain(a)) for a in argument_types(el.ty)))
 

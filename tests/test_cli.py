@@ -299,8 +299,8 @@ def test_deep_terms_succeed_and_recursion_errors_fail_as_input(run, monkeypatch)
             r = run(command, text)
             assert (r.exit_code, r.stdout) == (0, out), (command, text[:20], r.stderr)
 
-    # deep types and nested fixed-point solves still recurse; guarded
-    # reports their RecursionError at stage input
+    # nested fixed-point solves still recurse; guarded reports their
+    # RecursionError at stage input
     def overflow(*_args):
         raise RecursionError
 
@@ -312,9 +312,9 @@ def test_deep_terms_succeed_and_recursion_errors_fail_as_input(run, monkeypatch)
 
 def test_a_type_of_arity_2000_types_decides_and_certifies(run):
     # 2,000 nested binders: the type is interned, so it hashes and compares
-    # in constant time, and it prints in a loop along its arity.  Forcing
-    # the element's table still recurses once per argument, so eval fails
-    # at stage input.
+    # in constant time, and it prints in a loop along its arity.  Its
+    # table has 2^2000 points, more than the size limit, so eval fails at
+    # stage semantics before forcing anything.
     text = "".join(f"\\x{i}:o. " for i in range(2000)) + "x0"
     for command in ["typecheck", "parse", "decide-nf", "decide-hnf", "certify-nf"]:
         for flags in [(), ("--json",)]:
@@ -324,7 +324,9 @@ def test_a_type_of_arity_2000_types_decides_and_certifies(run):
     assert run("decide-nf", text).stdout == "normal form exists\n"
     r = run("eval", text)
     assert r.exit_code == 2
-    assert r.stderr == "error [input]: term nesting exceeds the interpreter limit\n"
+    assert r.stderr.startswith("error [semantics]: undecided at the configured size limit: "
+                               "domain at o -> o -> o")
+    assert r.stderr.endswith("exceeds the enumeration limit (more than 5000000 elements)\n")
 
 
 def test_size_limit_flag(run):

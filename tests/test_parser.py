@@ -91,6 +91,13 @@ def test_nested_binders_parse_at_any_depth():
     assert parse_term(binders + "x0") == want
     parenthesized = "".join(f"(\\x{i}:o. " for i in range(n)) + "x0" + ")" * n
     assert parse_term(parenthesized) == want
+    # types parse on an explicit stack too: 1,000 arrows, 500 parentheses
+    arrows = GROUND
+    for _ in range(1000):
+        arrows = Arrow(GROUND, arrows)
+    assert parse_type("o->" * 1000 + "o") == arrows
+    assert parse_term(f"\\y:{'o->' * 1000}o. y") == Lam("y", arrows, Var("y", arrows))
+    assert parse_type("(" * 500 + "o->o" + ")" * 500) == Arrow(GROUND, GROUND)
 
 
 @pytest.mark.parametrize("sugar", [True, False])
