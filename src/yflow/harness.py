@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .analysis import certified_normalize, has_normal_form, tilde_Y
+from .analysis import certified_normalize, tilde_Y
 from .parser import parse_term, parse_type
 from .printer import term_to_str
 from .reduction import assured_normalize, decode_numeral, eliminate_omega, term_size
@@ -130,12 +130,11 @@ def check_defines(term: Term, spec: FunctionSpec) -> DefinabilityVerdict:
         for m, a in zip(sample, spec.arg_alphas):
             applied = App(applied, church_numeral(m, a))
         expected = spec.reference(*sample)
-        report = has_normal_form(applied)
-        if not report.verdict:
+        nf = certified_normalize(applied)
+        if nf is None:
             row = SampleRow(sample, expected, "no-normal-form", None,
                             ok=expected is None)
         else:
-            nf = certified_normalize(applied, report)
             decoded = decode_numeral(nf, spec.result_alpha)
             observed = str(decoded) if decoded is not None else "not-a-numeral"
             row = SampleRow(sample, expected, observed, decoded,

@@ -242,6 +242,8 @@ class _Parser:
             kind, name, pos = self.expect("IDENT")
             if name in RESERVED:
                 raise ParseError(f"{name} is reserved", self.text, pos)
+            if name in ctx:
+                raise ParseError(f"{name} is declared twice in context", self.text, pos)
             self.expect("COLON")
             ctx[name] = self.annotation()
             kind, lexeme, pos = self.next()

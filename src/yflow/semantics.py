@@ -40,15 +40,15 @@ a mask forced once is reused.
 A domain is its masks in ascending order, enumerated once per process
 and cached; insertion holds a lock, so concurrent readers are safe.  The
 masks are a list of ints, or an array('Q') for a large domain whose
-masks fit in 64 bits (see below).  Its elements, index and renderings
-are built on demand.  The canonical
-element order is lexicographic on tables over the canonically ordered
-argument domain, which is the numeric order of masks and always a
-linear extension of the pointwise order; consequently index 0 is the
-least element (mask 0) and the last index the greatest (all ones).  In
-a lattice of up-sets one element covers another exactly when it adds a
-single point, so the Hasse diagram comes from one-point additions to
-each mask.
+masks fit in 64 bits (see below).  Its elements and renderings are
+built on demand.  The canonical element order is lexicographic on
+tables over the canonically ordered argument domain, which is the
+numeric order of masks and always a linear extension of the pointwise
+order; consequently index 0 is the least element (mask 0), the last
+index the greatest (all ones), and an element's index is found by
+bisecting the masks.  In a lattice of up-sets one element covers
+another exactly when it adds a single point, so the Hasse diagram
+comes from one-point additions to each mask.
 
 Enumeration counts a domain before it builds one (see _enumerate_arrow).
 An antichain bound rejects a domain that is plainly too large before any
@@ -64,7 +64,7 @@ Chain heights multiply out: the longest chain adds one point at a time,
 so its length is the product of the argument domain sizes.  This lets
 height() answer for types whose own domain is far too large to
 enumerate, as long as the argument domains are small; those are exactly
-the types at which lfp can index its points, so height and lfp fail
+the types at which lfp can bound its rounds, so height and lfp fail
 together.
 """
 
@@ -74,6 +74,7 @@ import functools
 import sys
 import threading
 from array import array
+from bisect import bisect_left
 from typing import Callable, Sequence
 
 from .terms import App, Lam, OmegaConst, Term, Var, check_app, check_var, fold
@@ -218,13 +219,14 @@ def top_element(ty: SimpleType) -> Element:
 class Domain:
     """A fully enumerated domain: its masks in ascending canonical order,
     a list of ints or, for a large domain of at most 64-bit masks, an
-    array('Q').  Element objects and the mask index are built on first use."""
+    array('Q').  Element objects are built on first use; an element's
+    index is found by bisecting the masks."""
 
-    __slots__ = ("ty", "masks", "width", "_elements", "_index")
+    __slots__ = ("ty", "masks", "width", "_elements")
 
     def __init__(self, ty: SimpleType, masks: Sequence[int], width: int):
         self.ty, self.masks, self.width = ty, masks, width  # width: height(ty)
-        self._elements = self._index = None
+        self._elements = None
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -236,16 +238,10 @@ class Domain:
             self._elements = tuple(Element(ty, None, m, width) for m in self.masks)
         return self._elements
 
-    def element(self, i: int) -> Element:
-        return Element(self.ty, None, self.masks[i], self.width)
-
-    def _build_index(self) -> dict[int, int]:
-        self._index = {m: i for i, m in enumerate(self.masks)}
-        return self._index
-
     def index_of(self, el: Element) -> int:
-        i = (self._index or self._build_index()).get(el.mask())
-        if i is None:
+        mask = el.mask()
+        i = bisect_left(self.masks, mask)
+        if i == len(self.masks) or self.masks[i] != mask:
             raise ValueError(f"no element {render_element(el)} in domain {self.ty}")
         return i
 
@@ -256,9 +252,10 @@ class Domain:
         """Edges of the Hasse diagram as sorted (lower, upper) index pairs.
 
         An upper cover adds one point, so each element looks up its mask
-        plus each missing bit; lower bits first gives ascending uppers.
+        plus each missing bit, in a mask -> index dict built for the call;
+        lower bits first gives ascending uppers.
         """
-        index = self._index or self._build_index()
+        index = {m: i for i, m in enumerate(self.masks)}
         full = self.masks[-1]
         out = []
         for i, mask in enumerate(self.masks):
@@ -505,16 +502,18 @@ def _max_rounds(h: int) -> int:
 
 def lfp(f: Element) -> Element:
     """Least fixed point of a monotone f at s = t1 -> ... -> tn -> o,
-    solved only at the points (tuples of argument indices) it is read at.
+    solved only at the points (tuples of argument elements) it is read at.
 
     Reading an unknown point demands it and solves: each round evaluates
     f, applied to a fresh lazy approximant, at every demanded point still
     false.  The approximant at q is top iff a point found true lies at or
-    below q (componentwise Domain.leq); reading it demands q when q is new.
-    When a round flips and adds no point, every demanded point is frozen
-    and never evaluated again.  Each round but the last adds or flips a
-    point, each of the height(s) points at most once each way: past
-    2*height(s)+1 rounds a solve raises FixpointInvariantError.
+    below q (componentwise Element.leq); reading it demands q when q is
+    new.  Elements hash and compare by mask, so equal arguments, lazy or
+    forced, are one point.  When a round flips and adds no point, every
+    demanded point is frozen and never evaluated again.  Each round but
+    the last adds or flips a point, each of the height(s) points at most
+    once each way: past 2*height(s)+1 rounds a solve raises
+    FixpointInvariantError.
 
     The result is exact.  An evaluation reads its argument only through
     the approximant, so its value is fixed by the values it reads.
@@ -530,28 +529,22 @@ def lfp(f: Element) -> Element:
     if not (isinstance(f.ty, Arrow) and f.ty.domain == f.ty.codomain):
         raise ValueError(f"lfp needs an element of type s -> s, got {f.ty}")
     s = f.ty.domain
-    doms = [enumerate_domain(a) for a in argument_types(s)]
     bound = _max_rounds(height(s))
     # True: found true; False: frozen false; None: demanded, false so far.
-    points: dict[tuple, bool | None] = {}
-    trues: list[tuple] = []  # the points at which f gave top
+    points: dict[tuple[Element, ...], bool | None] = {}
+    trues: list[tuple[Element, ...]] = []  # the points at which f gave top
 
     def read(p: tuple) -> bool:
         """The approximant at p; demands p when it is new and false."""
-        v = points.get(p)
-        if v is None and any(all(map(Domain.leq, doms, q, p)) for q in trues):
+        v = points.setdefault(p, None)
+        if v is None and any(all(map(Element.leq, q, p)) for q in trues):
             v = points[p] = True
-        elif p not in points:
-            points[p] = None
         return bool(v)
 
-    def at_point(answer: Callable[[tuple], bool]) -> Element:
-        return _on_arguments(s, lambda args: answer(tuple(map(Domain.index_of, doms, args))))
-
     def evaluate(p: tuple) -> bool:
-        x = f.apply(at_point(read))
-        for dom, i in zip(doms, p):
-            x = x.apply(dom.element(i))
+        x = f.apply(_on_arguments(s, read))
+        for arg in p:
+            x = x.apply(arg)
         return x.flag
 
     def value(p: tuple) -> bool:
@@ -572,7 +565,7 @@ def lfp(f: Element) -> Element:
                     points[q] = False
         return points[p]
 
-    return at_point(value)
+    return _on_arguments(s, value)
 
 
 def eval_term(t: Term) -> Element:

@@ -168,6 +168,7 @@ MALFORMED = [
     ("#\u0663{o}", "line 1, column 2: expected NAT, found '\u0663'"),  # not ASCII
     ("[x:o y", "line 1, column 6: expected ',' or ']' in context"),
     ("[x:o, Omega:o] x", "line 1, column 7: Omega is reserved"),
+    ("[x:o, x:o->o] x", "line 1, column 7: x is declared twice in context"),
     ("[x:] x", "line 1, column 4: expected a type, found ']'"),
     ("[x:o]", "line 1, column 6: expected a term, found 'end of input'"),
     ("\\x:o. x )", "line 1, column 9: trailing input ')'"),

@@ -117,8 +117,8 @@ def test_bottom_and_top_indices():
     for s in SMALL_TYPES:
         ty = parse_type(s)
         dom = enumerate_domain(ty)
-        assert dom.elements[0] == dom.element(0) == bottom_element(ty)
-        assert dom.elements[-1] == dom.element(len(dom) - 1) == top_element(ty)
+        assert dom.elements[0] == bottom_element(ty)
+        assert dom.elements[-1] == top_element(ty)
 
 
 def test_covers_ground():
@@ -272,6 +272,23 @@ def test_w_to_w_packs_into_lanes_under_3_5_mb():
     assert isinstance(masks, array) and masks.typecode == "Q"
     assert len(masks) == 120_549
     assert peak < 3_500_000
+
+
+def test_index_of_on_a_packed_domain_builds_no_table():
+    # bisecting the lanes allocates nothing per mask
+    ty = parse_type("((o->o)->o->o)->(o->o)->o->o")
+    clear_domain_cache()
+    dom = enumerate_domain(ty)
+    top = Element(ty, None, dom.masks[-1], dom.width)  # not dom.elements: 120,549 objects
+    tracemalloc.start()
+    try:
+        assert dom.index_of(top) == len(dom) - 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    with pytest.raises(ValueError):  # top at the least point only: not monotone
+        dom.index_of(Element(ty, None, 1 << dom.width - 1, dom.width))
 
 
 def test_domain_at_w_to_w_has_120549_elements():
@@ -561,3 +578,19 @@ def test_one_point_of_swap3s_recursion_evaluates_f_at_few_points():
     two, one = (eval_term(church_numeral(k, O)) for k in (2, 1))
     assert not _at(fixed, two, one, probe_s(OO), probe_s(O))
     assert 0 < len(calls) < height(fixed.ty) == 600
+
+
+def test_equal_arguments_share_one_point():
+    # elements hash and compare by mask, so a forced copy of a lazy
+    # argument reads the point the lazy one solved
+    f, calls = _counting(eval_term(parse_term(r"\g:(o->o)->o. \h:o->o. h (g h)")))
+    fixed = lfp(f)
+    lazy = eval_term(parse_term(r"\x:o. x"))
+    assert not _at(fixed, lazy)
+    solved = len(calls)
+    assert solved > 0
+    dom = enumerate_domain(OO)
+    forced = dom.elements[dom.index_of(lazy)]
+    assert forced is not lazy and forced == lazy
+    assert not _at(fixed, forced)
+    assert len(calls) == solved
