@@ -10,7 +10,9 @@ s is replaced by the finite unfolding of depth height(s), which bottoms
 out in a constant instead of recursing further.  The truncation is deep
 enough that the semantics cannot tell the two terms apart, so on a
 positive verdict the truncation's normal form, which always exists, is a
-normal form of the original.
+normal form of the original.  The normalizer unfolds each Y itself, only
+as far as readback forces it, so the truncated term (tilde_Y) is built
+only to report a failed certificate.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import time
 from dataclasses import dataclass, field
 
 from .printer import term_to_str
-from .reduction import assured_normalize
+from .reduction import _normal_form
 from .semantics import eval_term, head_test_t, height, test_t
-from .terms import Term, contains_omega, y_truncate, y_types
+from .terms import Term, y_truncate, y_types
 from .types import SimpleType, type_to_str
 
 
@@ -107,24 +109,24 @@ def has_head_normal_form(t: Term) -> AnalysisReport:
 def certified_normalize(t: Term, report: AnalysisReport | None = None) -> Term | None:
     """Normal form of t, or None when the semantic test refutes one.
 
-    On a positive verdict the truncation of t is normalized; the result
-    must be free of bottom constants and is then a normal form of t
-    itself.  A constant surviving in the output voids the certificate
-    and raises AnalysisInvariantError rather than returning quietly.
-    Pass the report of has_normal_form(t) to skip re-deciding; its depths
+    On a positive verdict the truncation of t is normalized, with each Y
+    unfolded inside the normalizer; the result must be free of bottom
+    constants and is then a normal form of t itself.  A constant
+    surviving in the output voids the certificate and raises
+    AnalysisInvariantError rather than returning quietly.  Pass the
+    report of has_normal_form(t) to skip re-deciding; its depths
     truncate t.
     """
     if report is None:
         report = has_normal_form(t)
     if not report.verdict:
         return None
-    truncated = y_truncate(t, report.truncation_depths)
-    nf = assured_normalize(truncated)
-    if contains_omega(nf):
+    nf, _, bottoms = _normal_form(t, None, depths=report.truncation_depths)
+    if bottoms:
         raise AnalysisInvariantError(
             f"positive verdict but the normalized truncation kept a bottom "
             f"constant: {term_to_str(nf)}",
-            term=t, truncated=truncated, nf=nf, report=report,
+            term=t, truncated=y_truncate(t, report.truncation_depths), nf=nf, report=report,
         )
     return nf
 

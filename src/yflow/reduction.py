@@ -10,7 +10,10 @@ data, not an error.  assured_normalize and long_normal_form run it
 unbounded: Y-free terms are strongly normalizing, so both terminate on
 them.  A thunk needed while it is being forced, or reached again
 within its own readback, is a black hole, a term with no normal form.
-Properness and bottom elimination act on long forms.
+Given truncation depths, the machine normalizes the truncation of its
+term without building it: Y{s} a is a^k(Omega{s}), unfolded one level
+each time a level is forced, and an unapplied Y{s} reads back as
+y_tilde(k, s).  Properness and bottom elimination act on long forms.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .terms import (
     omega_types,
     subterms,
     type_of,
+    y_tilde,
 )
 from .types import (
     GROUND,
@@ -76,7 +80,7 @@ class _OutOfFuel(Exception):
 
 _HOLE = object()  # the value of a thunk while it is being forced
 _UPDATE = object()  # frame mark: the thunk below it is being forced
-_READING = object()  # a forced thunk's env while its readback is open
+_APPLY = object()  # readback mark: apply the term below the top of out to the top
 
 
 class _Thunk:
@@ -88,12 +92,23 @@ class _Thunk:
         self.term, self.env, self.value = term, env, value
 
 
-def _eval(term: Term, env: dict, frames: list, steps: int, limit: int | None):
+class _Unfold:
+    """a^k(Omega{s}), the depth-k truncation of Y{s} a, in an env binding fun."""
+
+    __slots__ = ("fun", "k")
+
+    def __init__(self, fun, k):
+        self.fun, self.k = fun, k
+
+
+def _eval(term: Term, env: dict, frames: list, steps: int, limit: int | None,
+          depths: dict | None):
     """The weak head normal form of term in env applied to frames, a stack
     of argument thunks (a lazy Krivine machine), paired with steps plus the
     contractions made: beta steps and Y unfoldings.  A contraction past
     limit raises _OutOfFuel.  A thunk is forced once: _UPDATE above it on
-    frames marks where its value is written back.
+    frames marks where its value is written back.  With depths, Y{s} a
+    is a^depths[s](Omega{s}), one level at a time, and not a x with x = a x.
 
     A value is a closure (Lam, env), env mapping source names to thunks,
     or a neutral (head, args): a variable, a bottom or an unapplied Y
@@ -104,7 +119,11 @@ def _eval(term: Term, env: dict, frames: list, steps: int, limit: int | None):
             frames.append(type(arg) is Var and env.get(arg.name) or _Thunk(arg, env))
             term = term.fun
         th = env.get(term.name) if type(term) is Var else None
-        if th is None:  # a free variable, a constant or an abstraction
+        if th is None:  # a free variable, a constant, an abstraction or a level
+            if type(term) is _Unfold:  # a^k(Omega{s}) is a (a^(k-1)(Omega{s}))
+                fun, k = term.fun, term.k
+                term = App(fun, _Unfold(fun, k - 1)) if k else OmegaConst(fun.ty.domain)
+                continue
             value = (term, env if type(term) is Lam else ())
         elif th.value is None:
             th.value = _HOLE
@@ -125,11 +144,14 @@ def _eval(term: Term, env: dict, frames: list, steps: int, limit: int | None):
             elif type(head) is Lam:
                 term, env = head.body, {**rest, head.var: top}
                 break
-            elif type(head) is YConst:  # Y{s} a is x, shared, with x = a x
-                x = _Thunk(None, None, _HOLE)
-                frames += (x, _UPDATE)
-                ax = App(Var("a", Arrow(head.ty, head.ty)), Var("x", head.ty))
-                term, env = ax, {"a": top, "x": x}
+            elif type(head) is YConst:
+                a = Var("a", Arrow(head.ty, head.ty))
+                if depths is None:  # Y{s} a is x, shared, with x = a x
+                    x = _Thunk(None, None, _HOLE)
+                    frames += (x, _UPDATE)
+                    term, env = App(a, Var("x", head.ty)), {"a": top, "x": x}
+                else:
+                    term, env = _Unfold(a, depths[head.ty]), {"a": top}
                 break
             else:
                 args = [top]
@@ -143,76 +165,99 @@ def _eval(term: Term, env: dict, frames: list, steps: int, limit: int | None):
         steps += 1
 
 
-def _normal_form(t: Term, ty: SimpleType | None, limit: int | None = None
-                 ) -> tuple[Term, int]:
-    """(t's beta normal form, the contractions made): the form is read back
-    from t's value, eta-long at type ty or eta-contracted when ty is None.
+def _normal_form(t: Term, ty: SimpleType | None, limit: int | None = None,
+                 depths: dict | None = None) -> tuple[Term, int, int]:
+    """(t's beta normal form, the contractions made, the bottom heads in
+    the form): the form is read back from t's value, eta-long at type ty
+    or eta-contracted when ty is None.  With depths, each Y{s} is unfolded
+    depths[s] times, so the form is that of y_truncate(t, depths), which
+    is never built: the machine unfolds an applied Y{s} only as far as
+    readback forces it, and an unapplied one reads back as y_tilde.
 
     Readback runs on a stack of (thunk, type) items, forcing each thunk it
-    reaches, and of marks: None builds an application, the bound variable
-    an abstraction, and a thunk ends its own readback.  While that is
-    open, the thunk's env, cleared by forcing, holds _READING.  A thunk
-    reached again before its readback ends would be read back forever,
-    so it raises BlackHoleError; without Y, values are acyclic and this
-    cannot happen.  A source binder keeps its name, primed against the
-    names in scope and t's free names; the binder eta-expanding the i-th
-    argument is e<i>, primed against every name drawn so far.  No binder
-    shadows another, so a name identifies its binder."""
+    reaches, and of marks: _APPLY builds an application and the bound
+    variable an abstraction.  With Y and no depths a value can contain
+    itself, and a thunk reached again within its own readback would be
+    read back forever, so it raises BlackHoleError.  That readback is open
+    until its bottom-most mark, that of its first binder or its last
+    argument: the thunk stands on the stack in place of the mark, which
+    its env, cleared by forcing, holds meanwhile.  A value with neither
+    binders nor arguments is not marked.  Without Y, as in every long
+    form, or with depths, values are acyclic and nothing is marked.  A
+    source binder keeps its name, primed against the names in scope and
+    t's free names; the binder eta-expanding the i-th argument is e<i>,
+    primed against every name drawn so far.  No binder shadows another,
+    so a name identifies its binder."""
     # t's free names and the names bound here, with their uses so far
     scope: dict[str, int] = dict.fromkeys(free_vars(t), 0)
     drawn = set(scope)
     out: list[Term] = []
     todo: list = [(_Thunk(t, {}), ty)]
-    steps = 0
+    steps = bottoms = 0
+    cyclic = ty is None and depths is None and contains_y(t)
     while todo:
         item = todo.pop()
-        if item is None:
+        if type(item) is tuple:
+            th, item_ty = item
+            if th.value is None:
+                th.value = _HOLE
+                steps = _eval(th.term, th.env, [th, _UPDATE], steps, limit, depths)[1]
+            elif th.env is not None:
+                raise BlackHoleError("a shared subterm's normal form contains itself")
+            value = th.value
+            expand = argument_types(item_ty) if ty is not None else ()
+            i = 0
+            while True:
+                head, rest = value
+                if type(head) is Lam:
+                    var = Var(fresh_name(head.var, scope), head.var_ty)
+                    bound = _Thunk(None, None, (var, ()))
+                    value, steps = _eval(head.body, {**rest, head.var: bound}, [], steps,
+                                         limit, depths)
+                elif depths is not None and type(head) is YConst:  # unapplied
+                    value = (y_tilde(depths[head.ty], head.ty), {})
+                    continue
+                elif i < len(expand):
+                    var = Var(fresh_name(f"e{i + 1}", drawn), expand[i])
+                    value = (head, rest + (_Thunk(None, None, (var, ())),))
+                else:
+                    break
+                if cyclic and not i:  # th stands in for its first binder's mark
+                    th.env = var
+                    todo.append(th)
+                else:
+                    todo.append(var)
+                i += 1
+                scope[var.name] = 0
+                drawn.add(var.name)
+            head, args = value
+            out.append(head)
+            if type(head) is Var and head.name in scope:
+                scope[head.name] += 1
+            elif type(head) is OmegaConst:
+                bottoms += 1
+            if args:
+                arg_tys = argument_types(head.ty) if ty is not None else (None,) * len(args)
+                bottom = len(todo)
+                for arg, arg_ty in reversed(list(zip(args, arg_tys))):
+                    todo += (_APPLY, (arg, arg_ty))
+                if cyclic and not i:  # th stands in for its last argument's mark
+                    th.env = _APPLY
+                    todo[bottom] = th
+            continue
+        if type(item) is _Thunk:  # the end of item's readback, at its mark
+            item.env, item = None, item.env
+        if item is _APPLY:
             arg = out.pop()
             out[-1] = App(out[-1], arg)
-        elif type(item) is Var:
+        else:
             uses = scope.pop(item.name)
             body = out[-1]
             if ty is None and type(body) is App and body.arg is item and uses == 1:
                 out[-1] = body.fun  # eta: the binder's one use is this argument
             else:
                 out[-1] = Lam(item.name, item.ty, body)
-        elif type(item) is _Thunk:
-            item.env = None
-        else:
-            th, item_ty = item
-            if th.env is _READING:
-                raise BlackHoleError("a shared subterm's normal form contains itself")
-            if th.value is None:
-                th.value = _HOLE
-                steps = _eval(th.term, th.env, [th, _UPDATE], steps, limit)[1]
-            th.env = _READING
-            todo.append(th)
-            value = th.value
-            expand = argument_types(item_ty) if ty is not None else ()
-            i = 0
-            while type(value[0]) is Lam or i < len(expand):
-                head, rest = value
-                if type(head) is Lam:
-                    var = Var(fresh_name(head.var, scope), head.var_ty)
-                else:
-                    var = Var(fresh_name(f"e{i + 1}", drawn), expand[i])
-                th = _Thunk(None, None, (var, ()))
-                if type(head) is Lam:
-                    value, steps = _eval(head.body, {**rest, head.var: th}, [], steps, limit)
-                else:
-                    value = (head, rest + (th,))
-                i += 1
-                scope[var.name] = 0
-                drawn.add(var.name)
-                todo.append(var)
-            head, args = value
-            out.append(head)
-            if type(head) is Var and head.name in scope:
-                scope[head.name] += 1
-            arg_tys = argument_types(head.ty) if ty is not None else (None,) * len(args)
-            for arg, arg_ty in reversed(list(zip(args, arg_tys))):
-                todo += (None, (arg, arg_ty))
-    return out[0], steps
+    return out[0], steps, bottoms
 
 
 def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> NormalizationOutcome:
@@ -220,9 +265,10 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> NormalizationOutcome:
     contractions, beta steps and Y unfoldings (a shared argument is reduced
     once), else FuelExhausted.  BlackHoleError when the machine finds none."""
     try:
-        return Normal(*_normal_form(t, None, fuel))
+        nf, steps, _ = _normal_form(t, None, fuel)
     except _OutOfFuel:
         return FuelExhausted(fuel)
+    return Normal(nf, steps)
 
 
 def assured_normalize(t: Term) -> Term:

@@ -1,9 +1,14 @@
 """Decision procedures cross-validated against reduction."""
 
+import dataclasses
+import tracemalloc
+
 import pytest
 
 from term_corpus import HIGHER_Y_CORPUS, HNF_NOT_NF_WITNESS, lambda_y_corpus, spell
+import yflow.analysis as analysis
 from yflow.analysis import (
+    AnalysisInvariantError,
     certified_normalize,
     has_head_normal_form,
     has_normal_form,
@@ -12,7 +17,8 @@ from yflow.analysis import (
 )
 from yflow.parser import parse_term
 from yflow.printer import term_to_str
-from yflow.reduction import assured_normalize, classify_properness, long_normal_form
+from yflow.reduction import (
+    _normal_form, assured_normalize, classify_properness, long_normal_form)
 from yflow.terms import (
     TypingError, contains_omega, contains_y, church_numeral, type_of, y_truncate, y_types)
 from yflow.types import GROUND, Arrow
@@ -112,6 +118,69 @@ def test_anchor_terms_nested3_and_swap3():
     assert has_head_normal_form(nested3).verdict
     assert not has_normal_form(swap3).verdict
     assert not has_head_normal_form(swap3).verdict
+
+
+def test_certified_normal_forms_are_those_of_the_built_truncation(monkeypatch):
+    # the normalizer unfolds Y itself: on every positive verdict its normal
+    # form is the one of the truncated term, names included, and no
+    # truncated term is built
+    def no_truncation(*args):
+        raise AssertionError("certified_normalize built a truncated term")
+
+    positive = [t for t in lambda_y_corpus() + HIGHER_Y_CORPUS if has_normal_form(t).verdict]
+    assert len(positive) > 50
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "y_truncate", no_truncation)
+        certified = [certified_normalize(t) for t in positive]
+    for t, nf in zip(positive, certified):
+        want = assured_normalize(tilde_Y(t))
+        assert nf == want and term_to_str(nf) == term_to_str(want), term_to_str(t)
+
+
+def test_an_unapplied_y_reads_back_as_its_truncation():
+    t = parse_term(r"\h:(((o->o)->o->o)->o->o)->o. h Y{o->o}")
+    depths = truncation_depths(t)
+    assert depths == {OO: 2}
+    nf, _, bottoms = _normal_form(t, None, depths=depths)
+    want = assured_normalize(tilde_Y(t))
+    assert nf == want == parse_term(
+        r"\h:(((o->o)->o->o)->o->o)->o. h (\f:(o->o)->o->o. f (f Omega{o->o}))")
+    assert term_to_str(nf) == term_to_str(want)
+    assert bottoms == 1
+    # under a binder, passed through a beta step
+    t = parse_term(r"\x:o. (\y:((o->o)->o->o)->o->o. y) Y{o->o}")
+    assert _normal_form(t, None, depths=truncation_depths(t))[0] == \
+        assured_normalize(tilde_Y(t))
+
+
+def test_a_bottom_kept_by_the_truncation_voids_a_forged_certificate():
+    t = parse_term(r"Y{o} (\x:o. x)")
+    report = has_normal_form(t)
+    assert not report.verdict
+    assert contains_omega(assured_normalize(tilde_Y(t)))
+    forged = dataclasses.replace(report, verdict=True)
+    with pytest.raises(AnalysisInvariantError, match="kept a bottom constant") as caught:
+        certified_normalize(t, forged)
+    err = caught.value
+    assert err.term is t and err.report is forged
+    assert err.truncated == tilde_Y(t)
+    assert err.nf == assured_normalize(err.truncated) == parse_term("Omega{o}")
+
+
+def test_a_deep_truncation_certifies_without_being_built():
+    # Y{(W->W)->W} has height 723,294; its step never calls F, so the
+    # certificate forces one level of the truncation
+    t = spell(r"Y{(W->W)->W} (\F:(W->W)->W. \g:W->W. g #1{o})")
+    report = has_normal_form(t)
+    assert report.verdict and list(report.truncation_depths.values()) == [723_294]
+    tracemalloc.start()
+    try:
+        nf = certified_normalize(t, report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nf == assured_normalize(t)
+    assert peak < 1_000_000, peak
 
 
 def test_nf_implies_hnf_on_corpus():
