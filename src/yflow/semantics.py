@@ -46,9 +46,12 @@ tables over the canonically ordered argument domain, which is the
 numeric order of masks and always a linear extension of the pointwise
 order; consequently index 0 is the least element (mask 0), the last
 index the greatest (all ones), and an element's index is found by
-bisecting the masks.  In a lattice of up-sets one element covers
-another exactly when it adds a single point, so the Hasse diagram
-comes from one-point additions to each mask.
+bisecting the masks.  In a lattice of up-sets the upper covers of an
+element add one point each, a point maximal among those it misses, so
+the Hasse diagram comes from each mask's maximal missing points.  A
+domain keeps its moves, the covers between its points as shifts and
+masks, and finds those points with a few bit operations per element.
+Renderings go one level of table at a time.
 
 Enumeration counts a domain before it builds one (see _enumerate_arrow).
 An antichain bound rejects a domain that is plainly too large before any
@@ -222,11 +225,15 @@ class Domain:
     array('Q').  Element objects are built on first use; an element's
     index is found by bisecting the masks."""
 
-    __slots__ = ("ty", "masks", "width", "_elements")
+    __slots__ = ("ty", "masks", "width", "_elements", "_moves")
 
-    def __init__(self, ty: SimpleType, masks: Sequence[int], width: int):
+    def __init__(self, ty: SimpleType, masks: Sequence[int], width: int,
+                 moves: list[tuple[int, int]]):
         self.ty, self.masks, self.width = ty, masks, width  # width: height(ty)
         self._elements = None
+        # the covers between points, a (shift, select) pair per distance: a
+        # point in select is covered by the point shift bits lower (_moves)
+        self._moves = moves
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -251,33 +258,37 @@ class Domain:
     def covers(self) -> list[tuple[int, int]]:
         """Edges of the Hasse diagram as sorted (lower, upper) index pairs.
 
-        An upper cover adds one point, so each element looks up its mask
-        plus each missing bit, in a mask -> index dict built for the call;
-        lower bits first gives ascending uppers.
+        The upper covers of an up-set add one point each, a point maximal
+        among those it misses.  A missing point is not maximal when a
+        point that covers it is missing too, and each move finds those
+        points for one distance by one shift and one mask.  Each maximal
+        point's bit is looked up in a mask -> index dict built for the
+        call, and is always found; lower bits first gives ascending uppers.
         """
         index = {m: i for i, m in enumerate(self.masks)}
         full = self.masks[-1]
+        moves = self._moves
         out = []
         for i, mask in enumerate(self.masks):
             missing = full & ~mask
-            while missing:
-                bit = missing & -missing
-                missing ^= bit
-                j = index.get(mask | bit)
-                if j is not None:
-                    out.append((i, j))
+            blocked = 0
+            for shift, select in moves:
+                blocked |= missing << shift & select
+            new = missing & ~blocked
+            while new:
+                bit = new & -new
+                new ^= bit
+                out.append((i, index[mask | bit]))
         return out
 
 
 _domain_cache: dict[SimpleType, Domain] = {}
-_rendered: dict[tuple[int, tuple[int, ...]], str] = {}  # (mask, argument sizes) -> table
 _cache_lock = threading.Lock()
 
 
 def clear_domain_cache() -> None:
     with _cache_lock:
         _domain_cache.clear()
-        _rendered.clear()
 
 
 def enumerate_domain(ty: SimpleType) -> Domain:
@@ -292,7 +303,7 @@ def enumerate_domain(ty: SimpleType) -> Domain:
             raise DomainTooLarge(ty, str(len(cached)))
         return cached
     if ty == GROUND:
-        dom = Domain(ty, [0, 1], 1)
+        dom = Domain(ty, [0, 1], 1, [])
     else:
         dom = _enumerate_arrow(ty)
     assert dom.masks[0] == 0, "least element must come first"
@@ -404,7 +415,22 @@ def _enumerate_arrow(ty: Arrow) -> Domain:
         else:
             stack.append((key, iter(cands), fresh))
     packed = root[0] >= _LANES_FROM and n * bits <= 64
-    return Domain(ty, _build(root, n, bits, packed), n * bits)
+    return Domain(ty, _build(root, n, bits, packed), n * bits, _moves(covers, n, cod))
+
+
+def _moves(covers: list[tuple[int, int]], n: int, cod: Domain) -> list[tuple[int, int]]:
+    """The moves of the domain at s -> t, from the covers of D(s), of n
+    elements, and the moves of cod, the domain at t.  The point (i, p) sits
+    at bit bits * (n - 1 - i) plus p's bit, bits = height(t), so a cover
+    (lo, hi) of D(s) moves a point bits * (hi - lo) lower, and a move of
+    t moves one within its argument's block."""
+    bits = cod.width
+    ones = ((1 << n * bits) - 1) // ((1 << bits) - 1)  # a 1 in each block
+    moves = {shift: select * ones for shift, select in cod._moves}
+    for lo, hi in covers:
+        shift = bits * (hi - lo)  # at least bits, past every move of t
+        moves[shift] = moves.get(shift, 0) | (1 << bits) - 1 << bits * (n - 1 - lo)
+    return list(moves.items())
 
 
 # Below this many elements lists build faster: a run then holds few
@@ -692,29 +718,39 @@ def render_element(el: Element) -> str:
     than the size limit raises DomainTooLarge before anything is forced."""
     if height(el.ty) > _default_size_limit:
         raise DomainTooLarge(el.ty, f"more than {_default_size_limit}")
-    mask = el.mask()
-    return _render(mask, el._width, tuple(len(enumerate_domain(a)) for a in argument_types(el.ty)))
-
-
-def _render(mask: int, width: int, sizes: tuple[int, ...]) -> str:
-    """A table's rendering; sub-tables repeat, so each is rendered once
-    until clear_domain_cache."""
-    if not sizes:
-        return "top" if mask else "bot"
-    out = _rendered.get((mask, sizes))
-    if out is None:
-        bits = width // sizes[0]
-        out = _rendered[mask, sizes] = "[" + ", ".join(
-            _render(mask >> bits * k & (1 << bits) - 1, bits, sizes[1:])
-            for k in reversed(range(sizes[0]))) + "]"
-    return out
+    return _render(el.ty, [el.mask()])[0]
 
 
 def render_domain(dom: Domain) -> list[str]:
     """Every element's rendering, in canonical order."""
-    sizes = tuple(len(enumerate_domain(a)) for a in argument_types(dom.ty))
-    width = dom.width
-    return [_render(m, width, sizes) for m in dom.masks]
+    return _render(dom.ty, dom.masks)
+
+
+def _render(ty: SimpleType, masks: Sequence[int]) -> list[str]:
+    """The renderings of masks at ty, one level of table at a time.
+
+    Going down, each level splits its tables into one column of
+    sub-tables per position, and the next level renders their distinct
+    masks; the ground level renders as bot/top.  Going back up, each
+    column maps to the strings of the level below, and a row joins them.
+    """
+    levels = []  # (masks, columns) per level, the top first
+    width = height(ty)
+    for a in argument_types(ty):
+        n = len(enumerate_domain(a))
+        width //= n
+        low = (1 << width) - 1
+        columns = [[m >> width * k & low for m in masks] for k in reversed(range(n))]
+        levels.append((masks, columns))
+        masks = list(set().union(*columns))
+    strings = ["top" if m else "bot" for m in masks]
+    while levels:
+        up, columns = levels.pop()
+        text = dict(zip(masks, strings)).__getitem__
+        strings = ["[" + ", ".join(row) + "]"
+                   for row in zip(*[list(map(text, column)) for column in columns])]
+        masks = up
+    return strings
 
 
 def dump_domain(dom: Domain) -> str:

@@ -15,7 +15,7 @@ from functools import lru_cache
 class SimpleType:
     """Base class for types: one immutable object per type, == is `is`."""
 
-    __slots__ = ()
+    __slots__ = ("_arguments",)  # argument_types(self), once asked for
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"types are immutable: cannot change {name!r}")
@@ -50,11 +50,13 @@ class Arrow(SimpleType):
             ty = object.__new__(cls)
             object.__setattr__(ty, "domain", domain)
             object.__setattr__(ty, "codomain", codomain)
+            object.__setattr__(ty, "_arguments", None)
             ty = _ARROWS.setdefault((domain, codomain), ty)
         return ty
 
 
 GROUND = object.__new__(Ground)
+object.__setattr__(GROUND, "_arguments", ())
 _ARROWS: dict[tuple[SimpleType, SimpleType], Arrow] = {}  # every arrow made; never shrinks
 
 
@@ -69,12 +71,16 @@ def type_to_str(ty: SimpleType) -> str:
 
 
 def argument_types(ty: SimpleType) -> tuple[SimpleType, ...]:
-    """The full argument list (t1, ..., tn) of t1 -> ... -> tn -> o."""
-    args = []
-    while isinstance(ty, Arrow):
-        args.append(ty.domain)
-        ty = ty.codomain
-    return tuple(args)
+    """The full argument list (t1, ..., tn) of t1 -> ... -> tn -> o, kept
+    on the type from the first call on.  Keeping one on every type made
+    would cost memory quadratic in the arity of a long arrow."""
+    if ty._arguments is None:
+        args, arg = [], ty
+        while isinstance(arg, Arrow):
+            args.append(arg.domain)
+            arg = arg.codomain
+        object.__setattr__(ty, "_arguments", tuple(args))
+    return ty._arguments
 
 
 def arrow(args: tuple[SimpleType, ...] | list[SimpleType], result: SimpleType) -> SimpleType:

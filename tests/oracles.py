@@ -13,6 +13,9 @@ through the package's elements, so its answers rest on the elements alone
 and not on the solver under test.  oracle_enumerate_masks is another: the
 plain depth-first enumeration yflow.semantics replaced with one memoized
 on frontiers, reading the argument and codomain domains from the package.
+oracle_covers is the Hasse diagram by one-point additions that
+Domain.covers replaced with maximal missing points: it reads only the
+masks of a package domain.
 
 oracle_tokenize is the character-at-a-time scanner yflow.parser replaced
 with one regular expression: str.isalpha, isdigit and isalnum decide
@@ -171,6 +174,24 @@ def oracle_enumerate_masks(ty: SimpleType) -> list[int]:
         base = packed[i] << bits
         masks.extend([base | w for w in candidates(i)])
     return masks
+
+
+def oracle_covers(dom) -> list[tuple[int, int]]:
+    """The covers of a domain of up-set masks: an element is covered by its
+    mask plus any one missing point that gives a mask of the domain, so
+    every missing bit is looked up."""
+    index = {m: i for i, m in enumerate(dom.masks)}
+    full = dom.masks[-1]
+    out = []
+    for i, mask in enumerate(dom.masks):
+        missing = full & ~mask
+        while missing:
+            bit = missing & -missing
+            missing ^= bit
+            j = index.get(mask | bit)
+            if j is not None:
+                out.append((i, j))
+    return out
 
 
 _PUNCT = {"->": "ARROW", "\\": "LAMBDA", ".": "DOT", ":": "COLON", ",": "COMMA",

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import yflow.semantics as semantics
 from oracles import (
     oracle_cardinality,
+    oracle_covers,
     oracle_elements,
     oracle_enumerate_masks,
     oracle_height,
@@ -64,6 +65,10 @@ ORDER_TYPES = SMALL_TYPES + [
     "(o->o)->o->o->o",
     "o->o->o->o->o",
 ]
+
+# Every bench domain type (bench/workloads.py DOMAIN_TYPES), and the
+# 7,581-element domain after o->o->o->o->o.
+LARGE_ORDER_TYPES = ORDER_TYPES + ["(o->o->o)->o->o->o", "o->o->o->o->o->o"]
 
 
 def is_monotone_element(el):
@@ -209,10 +214,34 @@ def test_enumerating_w_to_w_peaks_under_10_mb():
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("s", ORDER_TYPES)
+@pytest.mark.parametrize("s", LARGE_ORDER_TYPES)
 def test_render_domain_renders_every_element(s):
     dom = enumerate_domain(parse_type(s))
     assert render_domain(dom) == [render_element(el) for el in dom.elements]
+
+
+@pytest.mark.parametrize("s", LARGE_ORDER_TYPES)
+def test_covers_match_the_one_point_oracle(s):
+    dom = enumerate_domain(parse_type(s))
+    assert dom.covers() == oracle_covers(dom)
+
+
+def test_a_deep_left_nested_chain_covers_each_domain_a_bounded_number_of_times(monkeypatch):
+    # (((o->o)->o)...)->o, 150 arrows deep: a chain of 152 elements.  A
+    # domain's moves come with it, so a level's covers run a bounded number
+    # of times, not again for every level above it.
+    ty = O
+    for _ in range(150):
+        ty = Arrow(ty, O)
+    calls = []
+    real = semantics.Domain.covers
+    monkeypatch.setattr(semantics.Domain, "covers",
+                        lambda self: calls.append(self.ty) or real(self))
+    clear_domain_cache()
+    dom = enumerate_domain(ty)
+    assert dom.covers() == [(k, k + 1) for k in range(151)]
+    assert render_domain(dom)[-1] == "[" + ", ".join(["top"] * 151) + "]"
+    assert len(calls) <= 2 * 150 + 2
 
 
 @pytest.mark.parametrize("s", ORDER_TYPES + [
