@@ -178,16 +178,15 @@ def _normal_form(t: Term, ty: SimpleType | None, limit: int | None = None,
     reaches, and of marks: _APPLY builds an application and the bound
     variable an abstraction.  With Y and no depths a value can contain
     itself, and a thunk reached again within its own readback would be
-    read back forever, so it raises BlackHoleError.  That readback is open
-    until its bottom-most mark, that of its first binder or its last
-    argument: the thunk stands on the stack in place of the mark, which
-    its env, cleared by forcing, holds meanwhile.  A value with neither
-    binders nor arguments is not marked.  Without Y, as in every long
-    form, or with depths, values are acyclic and nothing is marked.  A
-    source binder keeps its name, primed against the names in scope and
-    t's free names; the binder eta-expanding the i-th argument is e<i>,
-    primed against every name drawn so far.  No binder shadows another,
-    so a name identifies its binder."""
+    read back forever, so it raises BlackHoleError.  In that mode each
+    thunk read back joins a set of open thunks and is pushed as its own
+    end mark, below everything its readback pushes; popping the mark
+    closes it.  Without Y, as in every long form, or with depths, values
+    are acyclic and nothing is marked.  A source binder keeps its name,
+    primed against the names in scope and t's free names; the binder
+    eta-expanding the i-th argument is e<i>, primed against every name
+    drawn so far.  No binder shadows another, so a name identifies its
+    binder."""
     # t's free names and the names bound here, with their uses so far
     scope: dict[str, int] = dict.fromkeys(free_vars(t), 0)
     drawn = set(scope)
@@ -195,6 +194,7 @@ def _normal_form(t: Term, ty: SimpleType | None, limit: int | None = None,
     todo: list = [(_Thunk(t, {}), ty)]
     steps = bottoms = 0
     cyclic = ty is None and depths is None and contains_y(t)
+    open_thunks: set[_Thunk] = set()  # the thunks whose readback is open
     while todo:
         item = todo.pop()
         if type(item) is tuple:
@@ -202,8 +202,11 @@ def _normal_form(t: Term, ty: SimpleType | None, limit: int | None = None,
             if th.value is None:
                 th.value = _HOLE
                 steps = _eval(th.term, th.env, [th, _UPDATE], steps, limit, depths)[1]
-            elif th.env is not None:
+            elif th in open_thunks:
                 raise BlackHoleError("a shared subterm's normal form contains itself")
+            if cyclic:
+                open_thunks.add(th)
+                todo.append(th)
             value = th.value
             expand = argument_types(item_ty) if ty is not None else ()
             i = 0
@@ -222,11 +225,7 @@ def _normal_form(t: Term, ty: SimpleType | None, limit: int | None = None,
                     value = (head, rest + (_Thunk(None, None, (var, ())),))
                 else:
                     break
-                if cyclic and not i:  # th stands in for its first binder's mark
-                    th.env = var
-                    todo.append(th)
-                else:
-                    todo.append(var)
+                todo.append(var)
                 i += 1
                 scope[var.name] = 0
                 drawn.add(var.name)
@@ -238,16 +237,12 @@ def _normal_form(t: Term, ty: SimpleType | None, limit: int | None = None,
                 bottoms += 1
             if args:
                 arg_tys = argument_types(head.ty) if ty is not None else (None,) * len(args)
-                bottom = len(todo)
                 for arg, arg_ty in reversed(list(zip(args, arg_tys))):
                     todo += (_APPLY, (arg, arg_ty))
-                if cyclic and not i:  # th stands in for its last argument's mark
-                    th.env = _APPLY
-                    todo[bottom] = th
             continue
-        if type(item) is _Thunk:  # the end of item's readback, at its mark
-            item.env, item = None, item.env
-        if item is _APPLY:
+        if type(item) is _Thunk:  # the end of item's readback
+            open_thunks.remove(item)
+        elif item is _APPLY:
             arg = out.pop()
             out[-1] = App(out[-1], arg)
         else:

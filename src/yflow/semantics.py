@@ -16,26 +16,27 @@ The pointwise order is mask inclusion, and two elements are equal when
 their types and masks agree.
 
 An arrow element is either lazy or forced, never both.  A lazy element
-is a closure that applies on demand, so evaluation and the test/probe
-construction never enumerate anything.  Extensional equality forces
-it: the table over the enumerated argument domain is packed into the
-mask and the closure is dropped, as call-by-need overwrites a forced
-thunk with its value.  Forcing and lfp can raise DomainTooLarge.
+applies on demand, so evaluation and the test/probe construction never
+enumerate anything.  Extensional equality forces it: it is applied at
+every element of the enumerated argument domain, the table is packed
+into the mask and the lazy part is dropped, as call-by-need overwrites
+a forced thunk with its value.  Forcing and lfp can raise DomainTooLarge.
 Enumerated elements are born forced, and applying a forced element
 reads the entry at the argument's index.  A fixed point is lazy: it
 solves a point when it is first applied at it.
 
 A term is typed and compiled by one terms.fold per evaluation, with no
 type_of pass: the fold makes type_of's checks in its post-order and
-emits post-order code that a loop runs on an operand stack.  The
-closures an abstraction yields run its body's code in their environment
-plus the argument, so applying one neither retypes nor re-walks the
-term.  Inside the loop a closure application links the caller into a
-chain of frames and runs the body in place, as a CEK machine keeps its
-continuation, so neither the term's depth nor closures nested at run
-time cost a Python frame.  Each constant compiles to one shared
-element, and bottom and top elements share their codomain elements, so
-a mask forced once is reused.
+emits post-order code that a loop runs on an operand stack.  An
+abstraction's value is a closure, the tuple (binder, body code, env):
+applying it runs the body's code in env plus the argument, so it
+neither retypes nor re-walks the term.  Inside the loop a closure
+application links the caller into a chain of frames and runs the body
+in place, as a CEK machine keeps its continuation, so neither the
+term's depth nor closures nested at run time cost a Python frame.
+Each constant compiles to one shared element.  Bottom and top elements
+are built along their arity in a loop, each level returning the one
+element below it, so a mask forced once is reused.
 
 A domain is its masks in ascending order, enumerated once per process
 and cached; insertion holds a lock, so concurrent readers are safe.  The
@@ -119,7 +120,9 @@ class Element:
     """A value in one of the finite domains.
 
     Ground elements hold a one-bit mask.  An arrow element holds either a
-    closure (_fn, lazy) or a mask (forced); forcing replaces the closure.
+    lazy _fn or a mask (forced); forcing replaces _fn.  _fn is a closure
+    tuple (binder, body code, env), which _run enters in place and apply
+    runs, or a function of the argument, which only apply calls.
     """
 
     __slots__ = ("ty", "_fn", "_mask", "_width")
@@ -145,8 +148,9 @@ class Element:
 
     def apply(self, arg: "Element") -> "Element":
         fn = self._fn
-        if fn.__class__ is _Closure:  # entered here, without __call__'s dispatch
-            return _run(fn.body, {**fn.env, fn.var: arg})
+        if fn.__class__ is tuple:  # a closure: its body's code in env plus arg
+            var, body, env = fn
+            return _run(body, {**env, var: arg})
         if fn is not None:
             return fn(arg)
         if not isinstance(self.ty, Arrow):
@@ -163,16 +167,15 @@ class Element:
     def table(self) -> tuple["Element", ...]:
         """The entries over the argument domain in canonical order.
 
-        Enumerates the argument domain; forcing a closure stores its mask
-        and width, then drops the closure, so a concurrent reader that
-        finds _fn gone finds the mask in place.
+        Enumerates the argument domain; forcing applies the lazy element
+        at every argument, stores its mask and width, then drops _fn, so a
+        concurrent reader that finds _fn gone finds the mask in place.
         """
         dom = enumerate_domain(self.ty.domain)
         n = len(dom)
-        fn = self._fn
-        if fn is None:
+        if self._fn is None:
             return tuple(self._entry(i, n) for i in range(n))
-        entries = tuple(fn(el) for el in dom.elements)
+        entries = tuple(map(self.apply, dom.elements))
         mask = 0
         for entry in entries:
             entry_mask = entry.mask()
@@ -206,17 +209,25 @@ class Element:
 
 
 def bottom_element(ty: SimpleType) -> Element:
-    if ty == GROUND:
-        return Element.of_bool(False)
-    cod = bottom_element(ty.codomain)
-    return Element(ty, lambda _arg: cod)
+    return _constant(ty, False)
 
 
 def top_element(ty: SimpleType) -> Element:
-    if ty == GROUND:
-        return Element.of_bool(True)
-    cod = top_element(ty.codomain)
-    return Element(ty, lambda _arg: cod)
+    return _constant(ty, True)
+
+
+def _constant(ty: SimpleType, flag: bool) -> Element:
+    """The element at ty that is flag at every point, built from the ground
+    up in a loop along the arity: each level returns the one element below
+    it, so a mask forced once is reused."""
+    levels = []
+    while isinstance(ty, Arrow):
+        levels.append(ty)
+        ty = ty.codomain
+    el = Element.of_bool(flag)
+    for level in reversed(levels):
+        el = Element(level, lambda _arg, cod=el: cod)
+    return el
 
 
 class Domain:
@@ -295,7 +306,8 @@ def enumerate_domain(ty: SimpleType) -> Domain:
     """The full domain at ty, cached per process.
 
     Raises DomainTooLarge when more elements would be produced than the
-    session-wide limit allows (see set_default_size_limit).
+    session-wide limit allows (see set_default_size_limit); at once, before
+    its codomains are enumerated, when height(ty) reaches the limit.
     """
     cached = _domain_cache.get(ty)
     if cached is not None:
@@ -304,6 +316,8 @@ def enumerate_domain(ty: SimpleType) -> Domain:
         return cached
     if ty == GROUND:
         dom = Domain(ty, [0, 1], 1, [])
+    elif height(ty) >= _default_size_limit:  # a chain of height(ty) + 1 elements
+        raise DomainTooLarge(ty, f"more than {_default_size_limit}")
     else:
         dom = _enumerate_arrow(ty)
     assert dom.masks[0] == 0, "least element must come first"
@@ -568,10 +582,7 @@ def lfp(f: Element) -> Element:
         return bool(v)
 
     def evaluate(p: tuple) -> bool:
-        x = f.apply(_on_arguments(s, read))
-        for arg in p:
-            x = x.apply(arg)
-        return x.flag
+        return functools.reduce(Element.apply, p, f.apply(_on_arguments(s, read))).flag
 
     def value(p: tuple) -> bool:
         if not read(p) and points[p] is None:
@@ -633,18 +644,6 @@ def _compile(t: Term) -> list:
     return codes[0]
 
 
-class _Closure:
-    """An abstraction's value: its body's code, run in env plus the argument."""
-
-    __slots__ = ("var", "body", "env")
-
-    def __init__(self, var: str, body: list, env: dict[str, Element]):
-        self.var, self.body, self.env = var, body, env
-
-    def __call__(self, arg: Element) -> Element:
-        return _run(self.body, {**self.env, self.var: arg})
-
-
 def _run(code: list, env: dict[str, Element]) -> Element:
     """The value of code in env, on one operand stack.  A closure applied
     here runs in place while its caller's ops and env wait in a frame."""
@@ -656,16 +655,17 @@ def _run(code: list, env: dict[str, Element]) -> Element:
             if op is None:
                 arg, fun = stack.pop(), stack.pop()
                 fn = fun._fn
-                if fn.__class__ is _Closure:
+                if fn.__class__ is tuple:
+                    var, body, closed = fn
                     frame = ops, env, frame
-                    ops, env = iter(fn.body), {**fn.env, fn.var: arg}
+                    ops, env = iter(body), {**closed, var: arg}
                     break
                 stack.append(fun.apply(arg))
             elif op.__class__ is str:
                 stack.append(env[op])
             elif op.__class__ is tuple:
                 ty, var, body = op
-                stack.append(Element(ty, _Closure(var, body, env)))
+                stack.append(Element(ty, (var, body, env)))
             else:
                 stack.append(op)
         else:
@@ -683,13 +683,8 @@ def _run(code: list, env: dict[str, Element]) -> Element:
 
 def _make_test(ty: SimpleType, probe: Callable[[SimpleType], Element]) -> Element:
     probes = [probe(a) for a in argument_types(ty)]
-
-    def fn(f: Element) -> Element:
-        for p in probes:
-            f = f.apply(p)
-        return f
-
-    return Element(Arrow(ty, GROUND), fn)
+    return _on_arguments(Arrow(ty, GROUND),
+                         lambda args: functools.reduce(Element.apply, probes, args[0]).flag)
 
 
 @functools.cache

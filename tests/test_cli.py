@@ -9,7 +9,9 @@ from click.testing import CliRunner
 
 from yflow.cli import main
 from yflow.parser import parse_term
-from yflow.semantics import default_size_limit, set_default_size_limit
+from yflow.semantics import (Element, bottom_element, default_size_limit,
+                             set_default_size_limit, top_element)
+from yflow.types import GROUND, Arrow
 
 
 @pytest.fixture(autouse=True)
@@ -327,6 +329,25 @@ def test_a_type_of_arity_2000_types_decides_and_certifies(run):
     assert r.stderr.startswith("error [semantics]: undecided at the configured size limit: "
                                "domain at o -> o -> o")
     assert r.stderr.endswith("exceeds the enumeration limit (more than 5000000 elements)\n")
+    # Constants build along the arity in a loop, and a domain whose height
+    # reaches the size limit fails before recursing down its codomains.
+    ty = " -> ".join(["o"] * 2001)
+    for command in ["decide-nf", "certify-nf"]:
+        r = run(command, f"Omega{{{ty}}}")
+        assert (r.exit_code, r.stdout) == (1, "no normal form\n"), (command, r.stderr)
+    for args in [("eval", f"Omega{{{ty}}}"), ("domain", ty)]:
+        r = run(*args)
+        assert r.exit_code == 2 and r.stderr.startswith("error [semantics]: "), args
+    r = run("decide-hnf", f"\\y:{ty}. y")
+    assert (r.exit_code, r.stdout) == (0, "head normal form exists\n"), r.stderr
+    wide = GROUND
+    for _ in range(3000):
+        wide = Arrow(GROUND, wide)
+    for constant, flag in [(bottom_element, False), (top_element, True)]:
+        el = constant(wide)
+        for _ in range(3000):
+            el = el.apply(Element.of_bool(not flag))
+        assert el.flag is flag
 
 
 def test_size_limit_flag(run):
