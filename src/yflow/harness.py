@@ -8,10 +8,11 @@ tuples to try.  check_defines applies the candidate term to literal
 numerals, decides normalization semantically, normalizes under the
 certificate and decodes the result.
 
-The pipeline stages a recursive definition through truncation, bottom
-expansion and bottom elimination, then replays the same table against
-the resulting pure term.  Each stage failure is reported with the stage
-name attached.
+The pipeline truncates a recursive definition, expands its bottoms to
+ground and eliminates them, in one run of the normalizer that builds
+neither the truncation nor its expansion, then replays the same table
+against the resulting pure term.  Each stage failure is reported with
+the stage name attached.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .analysis import certified_normalize, tilde_Y
+from .analysis import certified_normalize, truncation_depths
 from .parser import parse_term, parse_type
 from .printer import term_to_str
 from .reduction import assured_normalize, decode_numeral, eliminate_omega, term_size
@@ -33,7 +34,6 @@ from .terms import (
     church_numeral,
     contains_omega,
     contains_y,
-    tilde_omega_map,
     type_of,
     y_tilde,
 )
@@ -251,11 +251,9 @@ def conservativity_pipeline(term: Term, spec: FunctionSpec) -> PipelineResult:
             "type-check",
             f"term has type {type_to_str(ty)} but the table needs "
             f"{type_to_str(spec.expected_type())}")
-    truncated = stage("truncate", lambda: tilde_Y(term))
-    expanded = stage("expand-bottoms", lambda: tilde_omega_map(truncated))
+    depths = stage("truncate", lambda: truncation_depths(term))
     pure = stage("eliminate-bottoms",
-                 lambda: eliminate_omega(expanded,
-                                         numeral_args=len(spec.arg_alphas)))
+                 lambda: eliminate_omega(term, len(spec.arg_alphas), depths))
     if contains_omega(pure) or contains_y(pure):
         raise PipelineError("eliminate-bottoms",
                             "output still mentions a constant")
@@ -265,8 +263,7 @@ def conservativity_pipeline(term: Term, spec: FunctionSpec) -> PipelineResult:
                 for s, t in zip(source.rows, target.rows))
     holds = (not source.consistent) or (target.consistent and agree)
     return PipelineResult(name=spec.name,
-                          stages=(("source", term), ("truncated", truncated),
-                                  ("expanded", expanded), ("pure", pure)),
+                          stages=(("source", term), ("pure", pure)),
                           source=source, target=target, holds=holds)
 
 

@@ -13,7 +13,9 @@ within its own readback, is a black hole, a term with no normal form.
 Given truncation depths, the machine normalizes the truncation of its
 term without building it: Y{s} a is a^k(Omega{s}), unfolded one level
 each time a level is forced, and an unapplied Y{s} reads back as
-y_tilde(k, s).  Properness and bottom elimination act on long forms.
+y_tilde(k, s).  Properness and bottom elimination act on long forms:
+elimination reads each bottom-headed spine back as z b1 ... bl, so
+with depths it reads the pure term off a recursive one directly.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .terms import (
     contains_y,
     free_vars,
     fresh_name,
-    map_leaves,
     match_numeral,
     omega_types,
     subterms,
@@ -166,13 +167,16 @@ def _eval(term: Term, env: dict, frames: list, steps: int, limit: int | None,
 
 
 def _normal_form(t: Term, ty: SimpleType | None, limit: int | None = None,
-                 depths: dict | None = None) -> tuple[Term, int, int]:
+                 depths: dict | None = None, eliminate: int | None = None
+                 ) -> tuple[Term, int, int]:
     """(t's beta normal form, the contractions made, the bottom heads in
     the form): the form is read back from t's value, eta-long at type ty
     or eta-contracted when ty is None.  With depths, each Y{s} is unfolded
     depths[s] times, so the form is that of y_truncate(t, depths), which
     is never built: the machine unfolds an applied Y{s} only as far as
     readback forces it, and an unapplied one reads back as y_tilde.
+    With eliminate, a long form's bottom-headed spine reads back, its
+    arguments unread, as z b1 ... bl: the root's binders from that index.
 
     Readback runs on a stack of (thunk, type) items, forcing each thunk it
     reaches, and of marks: _APPLY builds an application and the bound
@@ -185,8 +189,9 @@ def _normal_form(t: Term, ty: SimpleType | None, limit: int | None = None,
     are acyclic and nothing is marked.  A source binder keeps its name,
     primed against the names in scope and t's free names; the binder
     eta-expanding the i-th argument is e<i>, primed against every name
-    drawn so far.  No binder shadows another, so a name identifies its
-    binder."""
+    drawn so far, or with eliminate, when the head is a bottom, x<i> as
+    omega_tilde names it, primed like a source binder.  No binder
+    shadows another, so a name identifies its binder."""
     # t's free names and the names bound here, with their uses so far
     scope: dict[str, int] = dict.fromkeys(free_vars(t), 0)
     drawn = set(scope)
@@ -195,6 +200,7 @@ def _normal_form(t: Term, ty: SimpleType | None, limit: int | None = None,
     steps = bottoms = 0
     cyclic = ty is None and depths is None and contains_y(t)
     open_thunks: set[_Thunk] = set()  # the thunks whose readback is open
+    spine = None  # with eliminate, z b1 ... bl
     while todo:
         item = todo.pop()
         if type(item) is tuple:
@@ -221,7 +227,10 @@ def _normal_form(t: Term, ty: SimpleType | None, limit: int | None = None,
                     value = (y_tilde(depths[head.ty], head.ty), {})
                     continue
                 elif i < len(expand):
-                    var = Var(fresh_name(f"e{i + 1}", drawn), expand[i])
+                    if eliminate is not None and type(head) is OmegaConst:
+                        var = Var(fresh_name(f"x{len(rest) + 1}", scope), expand[i])
+                    else:
+                        var = Var(fresh_name(f"e{i + 1}", drawn), expand[i])
                     value = (head, rest + (_Thunk(None, None, (var, ())),))
                 else:
                     break
@@ -230,6 +239,10 @@ def _normal_form(t: Term, ty: SimpleType | None, limit: int | None = None,
                 scope[var.name] = 0
                 drawn.add(var.name)
             head, args = value
+            if eliminate is not None:  # at the root, todo holds just its binders
+                spine = spine or reduce(App, todo[eliminate + 1:], todo[eliminate])
+                if type(head) is OmegaConst:  # ground, since the form is long
+                    head, args = spine, ()
             out.append(head)
             if type(head) is Var and head.name in scope:
                 scope[head.name] += 1
@@ -381,36 +394,29 @@ def _numeral_chain(ty: SimpleType, numeral_args: int | None):
     return tuple(alphas[:k]), numeral_parameter(remainders[k])
 
 
-def eliminate_omega(t: Term, numeral_args: int | None = None) -> Term:
+def eliminate_omega(t: Term, numeral_args: int | None = None,
+                    depths: dict | None = None) -> Term:
     """Rewrite a ground-bottom term into a constant-free one, preserving
     any total numeral function it defines.
 
-    The input must be closed, Y-free, of numeral-chain type, and carry
-    bottom constants at ground type only.  Its long normal form is
-    \\n1...nk. \\f:a->a. \\z:a. \\b1...bl. body with a = (b1,...,bl) -> o;
-    every ground bottom in body is replaced by z b1 ... bl.
+    The input must be closed, of numeral-chain type, and without depths
+    Y-free with bottom constants at ground type only; with depths, it
+    stands for tilde_omega_map(y_truncate(t, depths)), never built.  Its
+    long normal form is \\n1...nk. \\f:a->a. \\z:a. \\b1...bl. body with
+    a = (b1,...,bl) -> o; every ground bottom in body is z b1 ... bl.
     """
     ty = type_of(t, {})
-    if contains_y(t):
+    if depths is None and contains_y(t):
         raise ValueError("eliminate_omega does not apply to terms with Y constants")
-    higher = [s for s in omega_types(t) if s != GROUND]
+    higher = [s for s in omega_types(t) if s != GROUND] if depths is None else ()
     if higher:
         listed = ", ".join(sorted(type_to_str(s) for s in higher))
         raise ValueError(
             f"bottom constants must be at ground type (found {listed}); "
             "apply tilde_omega_map first"
         )
-    alphas, alpha = _numeral_chain(ty, numeral_args)
-    k = len(alphas)
-    long = long_normal_form(t)
-    prefix: list[Term] = []  # the variables of n1...nk, f, z, b1...bl
-    body = long
-    for _ in range(k + 2 + len(argument_types(alpha))):
-        prefix.append(Var(body.var, body.var_ty))
-        body = body.body
-    spine = reduce(App, prefix[k + 2:], prefix[k + 1])
-    # No binder in a long normal form shadows another, so spine is not captured.
-    return map_leaves(long, lambda s: spine if isinstance(s, OmegaConst) else s)
+    alphas, _ = _numeral_chain(ty, numeral_args)
+    return _normal_form(t, ty, depths=depths, eliminate=len(alphas) + 1)[0]
 
 
 def decode_numeral(t: Term, alpha: SimpleType) -> int | None:

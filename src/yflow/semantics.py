@@ -582,7 +582,12 @@ def lfp(f: Element) -> Element:
         return bool(v)
 
     def evaluate(p: tuple) -> bool:
-        return functools.reduce(Element.apply, p, f.apply(_on_arguments(s, read))).flag
+        # a loop, not reduce: Element.apply called from C costs a nested
+        # solve more recursion depth
+        x = f.apply(_on_arguments(s, read))
+        for arg in p:
+            x = x.apply(arg)
+        return x.flag
 
     def value(p: tuple) -> bool:
         if not read(p) and points[p] is None:

@@ -29,16 +29,21 @@ eta, Y f -> f (Y f)), and oracle_normalize, which steps to a normal
 form.  The stepper spends a Python frame per nesting level, so it only
 serves shallow terms.  oracle_expand is the long-form route
 yflow.reduction replaced with normalization by evaluation: eta-expand a
-beta-eta normal form head by head.
+beta-eta normal form head by head.  oracle_eliminate is the route the
+conservativity pipeline replaced with elimination inside the normalizer:
+build the truncation, expand its bottoms, take the long normal form and
+substitute for each ground bottom.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 from itertools import product
 from typing import Mapping
 
+from yflow.analysis import tilde_Y
 from yflow.parser import ParseError
+from yflow.reduction import long_normal_form
 from yflow.semantics import Element, bottom_element, enumerate_domain, height
 from yflow.terms import (
     App,
@@ -50,7 +55,9 @@ from yflow.terms import (
     YConst,
     free_vars,
     fresh_name,
+    map_leaves,
     subterms,
+    tilde_omega_map,
     type_of,
 )
 from yflow.types import Arrow, Ground, SimpleType, argument_types
@@ -412,3 +419,19 @@ def oracle_expand(t: Term, ty: SimpleType, used: set[str]) -> Term:
         for arg, arg_ty in reversed(list(zip(spine, expected))):
             todo += (None, (arg, arg_ty))
     return out[0]
+
+
+def oracle_eliminate(t: Term, numeral_args: int) -> Term:
+    """The pure term of the closed t, of numeral-chain type with
+    numeral_args numeral arguments, by building every stage: truncate
+    each Y at its height, expand the bottoms to ground, take the long
+    normal form \\n1...nk. \\f. \\z. \\b1...bl. body, and replace each
+    ground bottom in body by z b1 ... bl."""
+    long = long_normal_form(tilde_omega_map(tilde_Y(t)))
+    prefix, body = [], long
+    while isinstance(body, Lam):
+        prefix.append(Var(body.var, body.var_ty))
+        body = body.body
+    k = numeral_args
+    spine = reduce(App, prefix[k + 2:], prefix[k + 1])
+    return map_leaves(long, lambda s: spine if isinstance(s, OmegaConst) else s)

@@ -9,7 +9,7 @@ here is allowed to weaken a bound to get to green.
 import functools
 import time
 
-from oracles import oracle_cardinality, oracle_height
+from oracles import oracle_cardinality, oracle_eliminate, oracle_height
 from term_corpus import (
     HNF_NOT_NF_WITNESS,
     constant_free_nf_subset,
@@ -25,6 +25,7 @@ from yflow.analysis import (
 )
 from yflow.harness import FunctionSpec, conservativity_pipeline, extended_poly
 from yflow.parser import parse_term, parse_type
+from yflow.printer import term_to_str
 from yflow.reduction import (
     assured_normalize,
     classify_properness,
@@ -224,6 +225,8 @@ def test_criterion_6_conservativity_pipelines():
             bad.append(f"{name}: source table refuted")
         if not result.holds:
             bad.append(f"{name}: pipeline fails")
+        if term_to_str(result.stages[-1][1]) != term_to_str(oracle_eliminate(t, 2)):
+            bad.append(f"{name}: the pure term differs from the reference route's")
     elapsed = time.perf_counter() - started
     ok = not bad and elapsed < 30.0
     detail = (f"{len(cases)} pipelines (including recursion-wrapped "

@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import click
 import pytest
 from click.testing import CliRunner
 
+from oracles import oracle_eliminate
 from yflow.cli import main
 from yflow.parser import parse_term
+from yflow.printer import term_to_str
 from yflow.semantics import (Element, bottom_element, default_size_limit,
                              set_default_size_limit, top_element)
 from yflow.types import GROUND, Arrow
@@ -430,8 +435,9 @@ def test_pipeline_json(run, tmp_path):
     r = run("pipeline", "--json", _write_add_spec(tmp_path))
     rec = json.loads(r.output)
     assert rec["holds"] is True
-    assert [s["label"] for s in rec["stages"]] == [
-        "source", "truncated", "expanded", "pure"]
+    assert [s["label"] for s in rec["stages"]] == ["source", "pure"]
+    source = parse_term(rec["stages"][0]["term"])
+    assert rec["stages"][1]["term"] == term_to_str(oracle_eliminate(source, 2))
 
 
 SPEC = "{spec}"  # replaced by the path of the add spec file
@@ -493,3 +499,16 @@ def test_a_fixed_point_past_its_round_bound_fails_as_an_invariant(run, monkeypat
     assert r.exit_code == 2 and json.loads(r.stdout)["stage"] == "invariant"
     monkeypatch.undo()
     assert run("decide-nf", term).exit_code == 1
+
+
+def test_nested_solves_decide_at_the_default_recursion_limit():
+    # A fixed point read inside the solve of another costs Python frames
+    # per nesting level; 180 nested solves decide in a fresh interpreter
+    # at its default limit (under 3.11 the ceiling is 195).
+    w = "((o->o)->o->o)"
+    term = f"#180{{{w}}} (\\m:{w}. Y{{{w}}} (\\y:{w}. m)) #0{{o}}"
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    r = subprocess.run([sys.executable, "-m", "yflow.cli", "decide-nf", term],
+                       env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                       text=True, timeout=120)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "normal form exists\n", "")

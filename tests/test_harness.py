@@ -1,10 +1,16 @@
 """Definability tables, the extended-polynomial library, the
 elimination pipeline and the depth-bounded search probe."""
 
+import os
 import re
 
 import pytest
 
+import yflow.analysis as analysis
+import yflow.reduction as reduction
+import yflow.terms as terms
+from oracles import oracle_eliminate
+from yflow.analysis import truncation_depths
 from yflow.harness import (
     FunctionSpec,
     PipelineError,
@@ -16,7 +22,8 @@ from yflow.harness import (
     recursion_depth_probe,
 )
 from yflow.parser import parse_term, parse_type
-from yflow.reduction import assured_normalize, decode_numeral
+from yflow.printer import term_to_str
+from yflow.reduction import assured_normalize, decode_numeral, eliminate_omega
 from yflow.terms import App, Lam, TypingError, YConst, church_numeral, type_of
 from yflow.types import GROUND, Arrow, arrow, numeral_type
 
@@ -28,6 +35,13 @@ MUL = extended_poly("mul", O)
 IFZ = extended_poly("ifzero", O)
 
 GRID2 = tuple((i, j) for i in range(4) for j in range(4))
+IDENT_SPEC = os.path.join(os.path.dirname(__file__), "data", "ident.spec")
+
+
+def _prints_as_reference(pure, t, numeral_args):
+    """Whether pure prints as the pure term the reference route builds
+    from t, through the truncation, its expansion and their long form."""
+    return term_to_str(pure) == term_to_str(oracle_eliminate(t, numeral_args))
 
 
 def _apply_numerals(t, *ms):
@@ -137,6 +151,7 @@ def test_pipeline_add_and_y_wrapped_add():
     r = conservativity_pipeline(ADD, spec)
     assert r.holds and r.target.consistent
     pure = r.stages[-1][1]
+    assert _prints_as_reference(pure, ADD, 2)
     from yflow.terms import contains_omega, contains_y
     assert not contains_omega(pure) and not contains_y(pure)
     # gratuitous recursion around the same function
@@ -145,6 +160,7 @@ def test_pipeline_add_and_y_wrapped_add():
     r2 = conservativity_pipeline(wrapped, spec)
     assert r2.holds and r2.target.consistent
     assert assured_normalize(r2.stages[-1][1]) == assured_normalize(pure)
+    assert _prints_as_reference(r2.stages[-1][1], wrapped, 2)
 
 
 def test_pipeline_already_pure_reaches_long_form():
@@ -154,6 +170,42 @@ def test_pipeline_already_pure_reaches_long_form():
                              ((0, 0), (1, 2), (3, 4)))
     r = conservativity_pipeline(ADD, spec)
     assert r.stages[-1][1] == long_normal_form(ADD)
+    assert [label for label, _ in r.stages] == ["source", "pure"]
+
+
+def test_pipeline_builds_no_truncated_expanded_or_long_term(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("the pipeline built a stage term")
+
+    for module, name in [(analysis, "tilde_Y"), (analysis, "y_truncate"),
+                         (terms, "y_truncate"), (terms, "tilde_omega_map"),
+                         (terms, "map_leaves"), (reduction, "long_normal_form")]:
+        monkeypatch.setattr(module, name, refuse)
+    spec = FunctionSpec.make("add", (O, O), O, lambda a, b: a + b, GRID2)
+    ty = type_of(ADD, {})
+    assert conservativity_pipeline(App(YConst(ty), Lam("g", ty, ADD)), spec).holds
+
+
+def test_pipeline_at_a_deep_recursion_type():
+    # Y{(W->W)->W} has truncation depth 723,294, so the reference route
+    # builds 1.4 million nodes and takes seconds; it prints the literal below.
+    spec, t = load_spec_file(IDENT_SPEC)
+    assert list(truncation_depths(t).values()) == [723_294]
+    r = conservativity_pipeline(t, spec)
+    assert r.holds
+    assert term_to_str(r.stages[-1][1]) == (
+        r"\n:(o -> o) -> o -> o. \e2:o -> o. \e3:o. n (\e1:o. e2 e1) e3")
+
+
+def test_eliminating_a_higher_bottom_names_its_binders_as_its_expansion_does():
+    t = parse_term(r"\x:(o->o)->o->o. \f:o->o. \z:o. x Omega{o->o} z")
+    pure = eliminate_omega(t, 1, truncation_depths(t))
+    assert term_to_str(pure) == r"\x:(o -> o) -> o -> o. \f:o -> o. \z:o. x (\x1:o. z) z"
+    assert _prints_as_reference(pure, t, 1)
+    with pytest.raises(ValueError, match="apply tilde_omega_map first"):
+        eliminate_omega(t, 1)
+    with pytest.raises(ValueError, match="Y constants"):
+        eliminate_omega(App(YConst(W), Lam("r", W, church_numeral(1, O))), 0)
 
 
 def test_pipeline_stage_attribution():

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 import yflow.analysis as analysis
 import yflow.terms as terms
-from oracles import all_names, oracle_expand, oracle_is_long_shape, oracle_normalize
+from oracles import (
+    all_names,
+    oracle_eliminate,
+    oracle_expand,
+    oracle_is_long_shape,
+    oracle_normalize,
+)
 from term_corpus import HIGHER_Y_CORPUS, lambda_y_corpus, omega_corpus, spell
 from yflow.analysis import certified_normalize, has_normal_form
 from yflow.harness import FunctionSpec, check_defines, conservativity_pipeline, extended_poly
@@ -30,7 +36,7 @@ from yflow.reduction import (
     long_normal_form,
     normalize,
 )
-from yflow.terms import App, church_numeral, free_vars, type_of, y_truncate
+from yflow.terms import App, Lam, Var, YConst, church_numeral, free_vars, type_of, y_truncate
 from yflow.types import GROUND, Arrow
 
 O = GROUND
@@ -157,7 +163,22 @@ def test_eliminating_a_bottom_under_a_shadowing_binder():
     identity = FunctionSpec.make("id", (O,), O, lambda n: n, samples=[(m,) for m in range(4)])
     assert check_defines(t, identity).consistent
     assert check_defines(out, identity).consistent
-    assert conservativity_pipeline(t, identity).holds
+    result = conservativity_pipeline(t, identity)
+    assert result.holds
+    assert term_to_str(result.stages[-1][1]) == term_to_str(oracle_eliminate(t, 1))
+
+
+@pytest.mark.parametrize("ty_text, size, numeral_args", [
+    ("(o->o)->o->o", 12, 0), ("((o->o)->o->o)->(o->o)->o->o", 11, 1)])
+def test_elimination_in_the_normalizer_prints_as_the_reference_route(ty_text, size, numeral_args):
+    # Enumerated forms carry bottoms at every subtype, and under Y and a
+    # redex the normalizer truncates and reduces before it eliminates.
+    ty = parse_type(ty_text)
+    for t in enumerate_long_normal_forms(ty, size):
+        wrapped = App(YConst(ty), Lam("r", ty, t))
+        for s in (t, wrapped, App(Lam("u", ty, Var("u", ty)), wrapped)):
+            pure = eliminate_omega(s, numeral_args, analysis.truncation_depths(s))
+            assert term_to_str(pure) == term_to_str(oracle_eliminate(s, numeral_args))
 
 
 def test_y_truncate_names_every_missing_depth():

@@ -232,6 +232,16 @@ def test_deep_printing():
     assert term_to_str(t, sugar=False) == spelled
 
 
+def test_printing_a_numeral_200000_deep_round_trips():
+    # Pieces are joined once: a printer copying each subterm's text into
+    # its parent's takes time quadratic in depth, minutes at this one.
+    n = 200_000
+    t = church_numeral(n, O)
+    text = term_to_str(t, sugar=False)
+    assert text == "\\f:o -> o. \\x:o. " + "f (" * (n - 1) + "f x" + ")" * (n - 1)
+    assert parse_term(text) == t
+
+
 def test_deep_print_parse_round_trip():
     with_constants = Lam("f", OO, _tower(App(YConst(O), Lam("y", O, OmegaConst(O)))))
     for t in (church_numeral(DEEP, O), with_constants):
