@@ -5,20 +5,21 @@ solved where the test reads them) and applying the appropriate test element.
 Reduction never participates in a verdict; it only extracts the witness
 afterwards.
 
-The witness extraction goes through truncation: each Y at recursion type
-s is replaced by the finite unfolding of depth height(s), which bottoms
-out in a constant instead of recursing further.  The truncation is deep
-enough that the semantics cannot tell the two terms apart, so on a
-positive verdict the truncation's normal form, which always exists, is a
-normal form of the original.  The normalizer unfolds each Y itself, only
-as far as readback forces it, so the truncated term (tilde_Y) is built
-only to report a failed certificate.
+A verdict computes no domain height.  The witness extraction goes
+through truncation: each Y at recursion type s is replaced by the finite
+unfolding of depth height(s), which bottoms out in a constant instead of
+recursing further.  The truncation is deep enough that the semantics
+cannot tell the two terms apart, so on a positive verdict the
+truncation's normal form, which always exists, is a normal form of the
+original.  The normalizer unfolds each Y itself, only as far as
+readback forces it, so the truncated term (tilde_Y) is built only to
+report a failed certificate.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .printer import term_to_str
 from .reduction import _normal_form
@@ -29,17 +30,12 @@ from .types import SimpleType, type_to_str
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Outcome of one semantic decision.
-
-    The verdict is the computed ground test value; truncation depths
-    record the unfolding the certified normalizer would use for each
-    recursion type in the term.
-    """
+    """Outcome of one semantic decision: the verdict is the computed
+    ground test value."""
 
     kind: str  # "nf" or "hnf"
     verdict: bool
     subject_type: SimpleType
-    truncation_depths: dict[SimpleType, int] = field(default_factory=dict)
     elapsed_ms: float = 0.0
 
     def to_json(self) -> dict:
@@ -48,11 +44,6 @@ class AnalysisReport:
             "verdict": self.verdict,
             "test_value": "top" if self.verdict else "bot",
             "type": type_to_str(self.subject_type),
-            "truncation_depths": {
-                type_to_str(ty): d for ty, d in sorted(
-                    self.truncation_depths.items(), key=lambda kv: type_to_str(kv[0])
-                )
-            },
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
 
@@ -87,12 +78,10 @@ def tilde_Y(t: Term) -> Term:
 def _decide(t: Term, kind: str) -> AnalysisReport:
     start = time.perf_counter()
     value = eval_term(t)
-    depths = truncation_depths(t)
     test = head_test_t(value.ty) if kind == "hnf" else test_t(value.ty)
     flag = test.apply(value).flag
     elapsed = (time.perf_counter() - start) * 1000.0
-    return AnalysisReport(kind=kind, verdict=flag, subject_type=value.ty,
-                          truncation_depths=depths, elapsed_ms=elapsed)
+    return AnalysisReport(kind=kind, verdict=flag, subject_type=value.ty, elapsed_ms=elapsed)
 
 
 def has_normal_form(t: Term) -> AnalysisReport:
@@ -114,19 +103,20 @@ def certified_normalize(t: Term, report: AnalysisReport | None = None) -> Term |
     constants and is then a normal form of t itself.  A constant
     surviving in the output voids the certificate and raises
     AnalysisInvariantError rather than returning quietly.  Pass the
-    report of has_normal_form(t) to skip re-deciding; its depths
-    truncate t.
+    report of has_normal_form(t) to skip re-deciding.  Only a positive
+    verdict computes truncation_depths(t), so only it needs the heights.
     """
     if report is None:
         report = has_normal_form(t)
     if not report.verdict:
         return None
-    nf, _, bottoms = _normal_form(t, None, depths=report.truncation_depths)
+    depths = truncation_depths(t)
+    nf, _, bottoms = _normal_form(t, None, depths=depths)
     if bottoms:
         raise AnalysisInvariantError(
             f"positive verdict but the normalized truncation kept a bottom "
             f"constant: {term_to_str(nf)}",
-            term=t, truncated=y_truncate(t, report.truncation_depths), nf=nf, report=report,
+            term=t, truncated=y_truncate(t, depths), nf=nf, report=report,
         )
     return nf
 

@@ -317,7 +317,7 @@ def tilde_omega_cmd(term_text, file, no_sugar, as_json):
                                  "numeral result (default: as many as possible)."),
                _SUGAR)
 def eliminate_omega_cmd(term_text, file, numeral_args, no_sugar, as_json):
-    """Rewrite a ground-bottom term at numeral type into a pure one."""
+    """Rewrite a term with bottom constants at numeral type into a pure one."""
     out = eliminate_omega(_read_term(term_text, file), numeral_args=numeral_args)
     _report(as_json, *_printed(out, no_sugar))
 

@@ -24,18 +24,18 @@ from typing import Callable
 from .analysis import certified_normalize, truncation_depths
 from .parser import parse_term, parse_type
 from .printer import term_to_str
-from .reduction import assured_normalize, decode_numeral, eliminate_omega, term_size
+from .reduction import _normal_form, decode_numeral, eliminate_omega, term_size
 from .terms import (
     App,
     Lam,
     Term,
     TypingError,
     Var,
+    YConst,
     church_numeral,
     contains_omega,
     contains_y,
     type_of,
-    y_tilde,
 )
 from .types import Arrow, SimpleType, arrow, numeral_type, type_to_str
 
@@ -314,7 +314,8 @@ def recursion_depth_probe(tested: Term, m: int, alpha: SimpleType,
     outcome).  m annotates where the tested function is first expected
     to be zero; when the annotation is honest, a search of depth < m
     can never report "zero", which is the obstruction this probe
-    demonstrates.
+    demonstrates.  The normalizer unfolds the recursion only as far as
+    the search goes, so the depth costs nothing until it is reached.
     """
     w = numeral_type(alpha)
     ew = Arrow(w, w)
@@ -332,11 +333,13 @@ def recursion_depth_probe(tested: Term, m: int, alpha: SimpleType,
     x = Var("x", w)
     body = App(App(App(ifz, App(tested, x)), zero), App(f, App(succ, x)))
     recur = Lam("f", ew, Lam("x", w, body))
-    probe = App(App(y_tilde(depth, ew), recur), zero)
-    nf = assured_normalize(probe)
+    if depth < 0:  # the normalizer would unfold forever
+        raise ValueError("truncation depth must be non-negative")
+    nf, _, bottoms = _normal_form(App(App(YConst(ew), recur), zero), None,
+                                  depths={ew: depth})
     if decode_numeral(nf, alpha) == 0:
         outcome = "zero"
-    elif contains_omega(nf):
+    elif bottoms:
         outcome = "omega"
     else:
         outcome = "other"

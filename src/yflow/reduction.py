@@ -34,13 +34,11 @@ from .terms import (
     free_vars,
     fresh_name,
     match_numeral,
-    omega_types,
     subterms,
     type_of,
     y_tilde,
 )
 from .types import (
-    GROUND,
     Arrow,
     SimpleType,
     argument_types,
@@ -396,25 +394,20 @@ def _numeral_chain(ty: SimpleType, numeral_args: int | None):
 
 def eliminate_omega(t: Term, numeral_args: int | None = None,
                     depths: dict | None = None) -> Term:
-    """Rewrite a ground-bottom term into a constant-free one, preserving
-    any total numeral function it defines.
+    """Rewrite a term with bottom constants into a constant-free one,
+    preserving any total numeral function it defines.
 
     The input must be closed, of numeral-chain type, and without depths
-    Y-free with bottom constants at ground type only; with depths, it
-    stands for tilde_omega_map(y_truncate(t, depths)), never built.  Its
-    long normal form is \\n1...nk. \\f:a->a. \\z:a. \\b1...bl. body with
-    a = (b1,...,bl) -> o; every ground bottom in body is z b1 ... bl.
+    Y-free; with depths, it stands for y_truncate(t, depths), never
+    built.  Its bottoms may have any type: the result is that of
+    tilde_omega_map(t), never built either.  Its long normal form is
+    \\n1...nk. \\f:a->a. \\z:a. \\b1...bl. body with a = (b1,...,bl) -> o;
+    every bottom-headed spine in body, ground in a long form, is
+    z b1 ... bl.
     """
     ty = type_of(t, {})
     if depths is None and contains_y(t):
         raise ValueError("eliminate_omega does not apply to terms with Y constants")
-    higher = [s for s in omega_types(t) if s != GROUND] if depths is None else ()
-    if higher:
-        listed = ", ".join(sorted(type_to_str(s) for s in higher))
-        raise ValueError(
-            f"bottom constants must be at ground type (found {listed}); "
-            "apply tilde_omega_map first"
-        )
     alphas, _ = _numeral_chain(ty, numeral_args)
     return _normal_form(t, ty, depths=depths, eliminate=len(alphas) + 1)[0]
 

@@ -67,14 +67,16 @@ elements whose masks fit in 64 bits packs its runs into 64-bit lanes,
 Chain heights multiply out: the longest chain adds one point at a time,
 so its length is the product of the argument domain sizes.  This lets
 height() answer for types whose own domain is far too large to
-enumerate, as long as the argument domains are small; those are exactly
-the types at which lfp can bound its rounds, so height and lfp fail
-together.
+enumerate, as long as the argument domains are small; a truncation depth
+is such a height.  lfp needs none: it bounds its rounds by the points it
+demands, so a solve forces only the elements it reads, even where the
+argument domains are too large to count.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import sys
 import threading
 from array import array
@@ -536,8 +538,8 @@ def _on_arguments(ty: SimpleType, fn: Callable[[tuple], bool], args: tuple = ())
     return Element(ty, lambda arg: _on_arguments(ty.codomain, fn, args + (arg,)))
 
 
-def _max_rounds(h: int) -> int:
-    return 2 * h + 1
+def _max_rounds(n: int) -> int:
+    return 2 * n + 1
 
 
 def lfp(f: Element) -> Element:
@@ -551,9 +553,10 @@ def lfp(f: Element) -> Element:
     new.  Elements hash and compare by mask, so equal arguments, lazy or
     forced, are one point.  When a round flips and adds no point, every
     demanded point is frozen and never evaluated again.  Each round but
-    the last adds or flips a point, each of the height(s) points at most
-    once each way: past 2*height(s)+1 rounds a solve raises
-    FixpointInvariantError.
+    the last adds or flips a point, and each demanded point is added once
+    and flips at most once: a solve whose rounds reach _max_rounds of the
+    points demanded so far raises FixpointInvariantError.  No height is
+    computed, so a solve needs only the domains its points are read in.
 
     The result is exact.  An evaluation reads its argument only through
     the approximant, so its value is fixed by the values it reads.
@@ -569,7 +572,6 @@ def lfp(f: Element) -> Element:
     if not (isinstance(f.ty, Arrow) and f.ty.domain == f.ty.codomain):
         raise ValueError(f"lfp needs an element of type s -> s, got {f.ty}")
     s = f.ty.domain
-    bound = _max_rounds(height(s))
     # True: found true; False: frozen false; None: demanded, false so far.
     points: dict[tuple[Element, ...], bool | None] = {}
     trues: list[tuple[Element, ...]] = []  # the points at which f gave top
@@ -591,7 +593,7 @@ def lfp(f: Element) -> Element:
 
     def value(p: tuple) -> bool:
         if not read(p) and points[p] is None:
-            for _ in range(bound):
+            for rounds in itertools.count(1):
                 before = dict(points)
                 for q, v in before.items():
                     if v is None and points[q] is None and evaluate(q):
@@ -599,9 +601,9 @@ def lfp(f: Element) -> Element:
                         trues.append(q)
                 if points == before:
                     break
-            else:
-                raise FixpointInvariantError(f"least fixed point at {type_to_str(s)} "
-                                             f"did not stabilize within {bound} rounds")
+                if rounds >= _max_rounds(len(points)):
+                    raise FixpointInvariantError(f"least fixed point at {type_to_str(s)} "
+                                                 f"did not stabilize within {rounds} rounds")
             for q, v in points.items():
                 if v is None:
                     points[q] = False

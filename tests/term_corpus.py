@@ -50,6 +50,15 @@ _ENDO_LEAVES = [
 
 HNF_NOT_NF_WITNESS = parse_term(r"\x:o->o. Y{o->o} (\f:o->o. \y:o. x (f y))")
 
+# Y at S2 = S -> o, S = (o->o->o->o->o->o) -> o: height(S2) counts a domain
+# far too large to enumerate, while a verdict forces arguments only from
+# the 7,581-element domain at o->o->o->o->o->o.  The first converges, the
+# second loops.  Term text, for the CLI tests too.
+_S = "(o->o->o->o->o->o)->o"
+WIDE_Y_CONVERGES = (rf"\x:o. Y{{({_S})->o}} (\f:({_S})->o. \h:{_S}. "
+                    rf"h (\a:o. \b:o. \c:o. \d:o. \e:o. x))")
+WIDE_Y_LOOPS = rf"\x:o. Y{{({_S})->o}} (\f:({_S})->o. \h:{_S}. f h)"
+
 _HANDCRAFTED_Y = [
     parse_term(r"Y{o} (\x:o. x)"),
     parse_term(r"Y{o->o} (\f:o->o. \y:o. y)"),

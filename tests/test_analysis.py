@@ -5,7 +5,8 @@ import tracemalloc
 
 import pytest
 
-from term_corpus import HIGHER_Y_CORPUS, HNF_NOT_NF_WITNESS, lambda_y_corpus, spell
+from term_corpus import (
+    HIGHER_Y_CORPUS, HNF_NOT_NF_WITNESS, WIDE_Y_CONVERGES, WIDE_Y_LOOPS, lambda_y_corpus, spell)
 import yflow.analysis as analysis
 from yflow.analysis import (
     AnalysisInvariantError,
@@ -18,7 +19,9 @@ from yflow.analysis import (
 from yflow.parser import parse_term
 from yflow.printer import term_to_str
 from yflow.reduction import (
-    _normal_form, assured_normalize, classify_properness, long_normal_form)
+    FuelExhausted, Normal, _normal_form, assured_normalize, classify_properness,
+    long_normal_form, normalize)
+from yflow.semantics import DomainTooLarge
 from yflow.terms import (
     TypingError, contains_omega, contains_y, church_numeral, type_of, y_truncate, y_types)
 from yflow.types import GROUND, Arrow
@@ -28,15 +31,16 @@ OO = Arrow(O, O)
 
 
 def test_divergent_ground_loop():
-    report = has_normal_form(parse_term(r"Y{o} (\x:o. x)"))
+    t = parse_term(r"Y{o} (\x:o. x)")
+    report = has_normal_form(t)
     assert not report.verdict
     assert report.kind == "nf"
-    assert report.truncation_depths == {O: 1}
+    assert truncation_depths(t) == {O: 1}
 
 
 def test_numeral_is_normalizable():
-    report = has_normal_form(church_numeral(2, O))
-    assert report.verdict and report.truncation_depths == {}
+    t = church_numeral(2, O)
+    assert has_normal_form(t).verdict and truncation_depths(t) == {}
 
 
 def test_discarded_recursion_normalizes():
@@ -52,6 +56,18 @@ def test_hnf_but_not_nf_witness():
 def test_open_terms_rejected():
     with pytest.raises(TypingError):
         has_normal_form(parse_term(r"[x:o] x"))
+
+
+def test_verdicts_read_no_height():
+    # height(S2) is past any enumeration, and only certifying needs it
+    converges, loops = parse_term(WIDE_Y_CONVERGES), parse_term(WIDE_Y_LOOPS)
+    assert has_normal_form(converges).verdict and has_head_normal_form(converges).verdict
+    assert not has_normal_form(loops).verdict and not has_head_normal_form(loops).verdict
+    assert isinstance(normalize(converges, 10_000), Normal)
+    assert isinstance(normalize(loops, 10_000), FuelExhausted)
+    assert certified_normalize(loops) is None
+    with pytest.raises(DomainTooLarge):
+        certified_normalize(converges)
 
 
 def test_truncation_depths_use_heights():
@@ -172,7 +188,7 @@ def test_a_deep_truncation_certifies_without_being_built():
     # certificate forces one level of the truncation
     t = spell(r"Y{(W->W)->W} (\F:(W->W)->W. \g:W->W. g #1{o})")
     report = has_normal_form(t)
-    assert report.verdict and list(report.truncation_depths.values()) == [723_294]
+    assert report.verdict and list(truncation_depths(t).values()) == [723_294]
     tracemalloc.start()
     try:
         nf = certified_normalize(t, report)
@@ -229,5 +245,4 @@ def test_report_serialization():
     assert rec["verdict"] is False
     assert rec["test_value"] == "bot"
     assert rec["kind"] == "nf"
-    assert rec["truncation_depths"] == {"o": 1}
-    assert "elapsed_ms" in rec
+    assert set(rec) == {"kind", "verdict", "test_value", "type", "elapsed_ms"}

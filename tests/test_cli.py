@@ -11,6 +11,8 @@ import pytest
 from click.testing import CliRunner
 
 from oracles import oracle_eliminate
+from term_corpus import HNF_NOT_NF_WITNESS, WIDE_Y_CONVERGES, WIDE_Y_LOOPS
+from yflow.analysis import truncation_depths
 from yflow.cli import main
 from yflow.parser import parse_term
 from yflow.printer import term_to_str
@@ -186,7 +188,7 @@ def test_an_oversized_domain_fails_as_a_semantics_error(run):
     assert r.stderr.startswith("error [semantics]:")
 
 
-VERDICT_KEYS = {"kind", "verdict", "test_value", "type", "truncation_depths", "elapsed_ms"}
+VERDICT_KEYS = {"kind", "verdict", "test_value", "type", "elapsed_ms"}
 
 
 def test_decide_nf_negative(run):
@@ -207,7 +209,17 @@ def test_decide_hnf(run):
     r = run("decide-hnf", "--json", r"\x:o->o. Y{o->o} (\f:o->o. \y:o. x (f y))")
     rec = json.loads(r.output)
     assert set(rec) == VERDICT_KEYS and rec["kind"] == "hnf"
-    assert rec["truncation_depths"] == {"o -> o": 2}
+    assert truncation_depths(HNF_NOT_NF_WITNESS) == {Arrow(GROUND, GROUND): 2}
+
+
+def test_verdicts_decide_where_heights_are_past_enumeration(run):
+    for command in ("decide-nf", "decide-hnf"):
+        assert run(command, WIDE_Y_CONVERGES).exit_code == 0
+        assert run(command, WIDE_Y_LOOPS).exit_code == 1
+    r = run("certify-nf", WIDE_Y_LOOPS)
+    assert r.exit_code == 1 and r.output == "no normal form\n"
+    r = run("certify-nf", WIDE_Y_CONVERGES)  # certifying needs the height
+    assert r.exit_code == 2 and r.stderr.startswith("error [semantics]:")
 
 
 def test_certify_nf(run):

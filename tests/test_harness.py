@@ -3,6 +3,7 @@ elimination pipeline and the depth-bounded search probe."""
 
 import os
 import re
+import tracemalloc
 
 import pytest
 
@@ -24,7 +25,8 @@ from yflow.harness import (
 from yflow.parser import parse_term, parse_type
 from yflow.printer import term_to_str
 from yflow.reduction import assured_normalize, decode_numeral, eliminate_omega
-from yflow.terms import App, Lam, TypingError, YConst, church_numeral, type_of
+from yflow.terms import (
+    App, Lam, TypingError, YConst, church_numeral, tilde_omega_map, type_of)
 from yflow.types import GROUND, Arrow, arrow, numeral_type
 
 O = GROUND
@@ -202,8 +204,8 @@ def test_eliminating_a_higher_bottom_names_its_binders_as_its_expansion_does():
     pure = eliminate_omega(t, 1, truncation_depths(t))
     assert term_to_str(pure) == r"\x:(o -> o) -> o -> o. \f:o -> o. \z:o. x (\x1:o. z) z"
     assert _prints_as_reference(pure, t, 1)
-    with pytest.raises(ValueError, match="apply tilde_omega_map first"):
-        eliminate_omega(t, 1)
+    assert term_to_str(eliminate_omega(t, 1)) == term_to_str(pure) == \
+        term_to_str(eliminate_omega(tilde_omega_map(t), 1))
     with pytest.raises(ValueError, match="Y constants"):
         eliminate_omega(App(YConst(W), Lam("r", W, church_numeral(1, O))), 0)
 
@@ -240,6 +242,21 @@ def test_probe_validates_input():
     looped = Lam("n", W, App(YConst(W), parse_term(r"\m:(o->o)->o->o. m")))
     with pytest.raises(ValueError):
         recursion_depth_probe(looped, 0, O, 1)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        recursion_depth_probe(extended_poly("const", O, k=0, arity=1), 0, O, -1)
+
+
+def test_a_deep_probe_unfolds_only_as_far_as_its_search():
+    # the search stops at x = 0, so a million levels cost one unfolding
+    always = extended_poly("const", O, k=0, arity=1)
+    tracemalloc.start()
+    try:
+        rep = recursion_depth_probe(always, 0, O, 1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.outcome == "zero" and decode_numeral(rep.normal_form, O) == 0
+    assert peak < 1_000_000, peak
 
 
 def test_probe_report_fields():

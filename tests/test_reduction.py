@@ -31,7 +31,9 @@ from yflow.terms import (
     church_numeral,
     contains_omega,
     contains_y,
+    omega_types,
     subterms,
+    tilde_omega_map,
     type_of,
     y_tilde,
 )
@@ -213,10 +215,24 @@ def test_eliminate_omega_higher_parameter():
     assert type_of(out, {}) == type_of(t, {})
 
 
-def test_eliminate_omega_requires_ground_bottoms():
-    with pytest.raises(ValueError):
-        eliminate_omega(parse_term(r"\f:o->o. \x:o. Omega{o->o} x"),
-                        numeral_args=0)
+def test_eliminate_omega_takes_bottoms_at_every_type():
+    # every long form with a higher bottom, at W and W->W, under each
+    # numeral reading, eliminates as its ground expansion does
+    t = parse_term(r"\f:o->o. \x:o. Omega{o->o} x")
+    assert eliminate_omega(t, numeral_args=0) == parse_term(r"\f:o->o. \x:o. x")
+    checked = 0
+    for ty in (numeral_type(O), numeral_type(Arrow(O, O))):
+        for t in enumerate_long_normal_forms(ty, 12):
+            if omega_types(t) <= {O}:
+                continue
+            for k in (None, 0):
+                try:
+                    want = term_to_str(eliminate_omega(tilde_omega_map(t), k))
+                except ValueError:  # no reading with k numeral arguments
+                    continue
+                assert term_to_str(eliminate_omega(t, k)) == want, term_to_str(t)
+                checked += 1
+    assert checked > 500
 
 
 def test_eliminate_omega_rejects_non_numeral_chain():
